@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import information_sum, whitened_system
+from .fisher import information_sum, information_weights, whitened_system
 from .linalg import WhitenedSystem
 from .model import DomainError, ModelSpec
 
@@ -62,7 +62,7 @@ def make_split(lam: np.ndarray, n: int, beta: float) -> SplitPlan:
     """Smallest prefix of the descending eigenvalues whose unit-scale
     information reaches sqrt(I1_n); requires I1_n >= MIN_INFORMATION."""
     lam = np.asarray(lam, dtype=float)
-    w = lam * float(n) ** (-2.0 * beta)
+    w = information_weights(lam, n, beta)
     contrib = 0.5 * (w / (w + 1.0)) ** 2
     i1_n = float(np.sum(contrib))
     if i1_n < MIN_INFORMATION:
@@ -81,7 +81,11 @@ def make_split(lam: np.ndarray, n: int, beta: float) -> SplitPlan:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Preliminary, truncated, and final estimates with diagnostics."""
+    """Preliminary, truncated, and final estimates with diagnostics.
+
+    ``plugin_fisher`` is the Fisher information over all coordinates at the
+    returned ``sigma2_hat`` (at the true sigma^2 for oracle rows); its
+    inverse is the plug-in variance of that value."""
     preliminary_V: float
     sigma2_tilde: float
     sigma2_two_stage: float
@@ -107,15 +111,16 @@ class EstimateResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _weighted_sum(z2: np.ndarray, lam: np.ndarray, n: int, beta: float,
-                  u: float, indices: np.ndarray) -> float:
-    """(2 I_u^B)^-1 sum_{i in B} lam_i n^(-2 beta) (z2_i - 1) / (u lam_i n^(-2 beta) + 1)^2,
-    indices ascending with numpy pairwise summation for reproducibility."""
+def _weighted_sum(z2: np.ndarray, w: np.ndarray, u: float,
+                  indices: np.ndarray) -> float:
+    """(2 I_u^B)^-1 sum_{i in B} w_i (z2_i - 1) / (u w_i + 1)^2 with
+    I_u^B = (1/2) sum_{i in B} w_i^2 / (u w_i + 1)^2, indices ascending with
+    numpy pairwise summation for reproducibility."""
     idx = np.sort(np.asarray(indices, dtype=int))
-    w = lam[idx] * float(n) ** (-2.0 * beta)
-    denom = (u * w + 1.0) ** 2
-    info = 0.5 * float(np.sum(w ** 2 / denom))
-    return float(np.sum(w * (z2[idx] - 1.0) / denom)) / (2.0 * info), info
+    wb = w[idx]
+    denom = (u * wb + 1.0) ** 2
+    info = 0.5 * float(np.sum(wb ** 2 / denom))
+    return float(np.sum(wb * (z2[idx] - 1.0) / denom)) / (2.0 * info)
 
 
 def _likelihood_root(z2: np.ndarray, w: np.ndarray, start: float) -> float:
@@ -156,10 +161,8 @@ def oracle_estimate(z: np.ndarray, system: WhitenedSystem, spec: ModelSpec) -> f
     """Oracle estimator using the true sigma^2 in the weights (testing
     baseline; unbiased with variance equal to the inverse information)."""
     z2 = system.transform(z) ** 2
-    all_idx = np.arange(system.n)
-    val, _ = _weighted_sum(z2, system.lam, spec.n, spec.beta,
-                           spec.sigma ** 2, all_idx)
-    return val
+    w = information_weights(system.lam, spec.n, spec.beta)
+    return _weighted_sum(z2, w, spec.sigma ** 2, np.arange(system.n))
 
 
 def estimate(z: np.ndarray, spec: ModelSpec,
@@ -181,18 +184,18 @@ def estimate(z: np.ndarray, spec: ModelSpec,
     system = whitened_system(spec) if system is None else system
     split = make_split(system.lam, spec.n, spec.beta)
     z2 = system.transform(z) ** 2
+    w = information_weights(system.lam, spec.n, spec.beta)
 
-    v, _ = _weighted_sum(z2, system.lam, spec.n, spec.beta, 1.0, split.a_n)
+    v = _weighted_sum(z2, w, 1.0, split.a_n)
     sigma2_tilde = float(np.clip(v, split.delta_n, 1.0 / split.delta_n))
-    two_stage, plugin_info = _weighted_sum(
-        z2, system.lam, spec.n, spec.beta, sigma2_tilde, split.a_n_c)
+    two_stage = _weighted_sum(z2, w, sigma2_tilde, split.a_n_c)
     if not np.isfinite(two_stage):
         raise DomainError("estimator produced a non-finite value")
-    w = system.lam * float(spec.n) ** (-2.0 * spec.beta)
     start = two_stage if two_stage > 0.0 else sigma2_tilde
     sigma2_hat = _likelihood_root(z2, w, start)
     return EstimateResult(
         preliminary_V=v, sigma2_tilde=sigma2_tilde,
         sigma2_two_stage=two_stage, sigma2_hat=sigma2_hat,
-        plugin_fisher=plugin_info, split=split.summary(),
+        plugin_fisher=information_sum(sigma2_hat, system.lam, spec.n, spec.beta),
+        split=split.summary(),
         lam_max=float(system.lam[0]), lam_min=float(system.lam[-1]))

@@ -14,16 +14,25 @@ from scipy.special import gamma as gamma_fn
 
 from ._quad import QuadratureError, panel_integrate
 from .linalg import diff_cov, whiten, WhitenedSystem
-from .model import DEFAULT_KMAX, DomainError, ModelSpec, with_n
+from .model import DomainError, ModelSpec, with_n
 
 REGIME_SUB = "subcritical"
 REGIME_CRITICAL = "critical"
 REGIME_SUPER = "supercritical"
 
+INTEGRAL_RTOL = 1e-6    # relative agreement of two panel doublings
+MAX_PANELS = 2048       # panels per side of the crossover before giving up
+
+
+def information_weights(lam: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """Information weights w_i = lam_i n^(-2 beta) of the whitened coordinates:
+    the transformed squares have mean sigma^2 w_i + 1."""
+    return lam * float(n) ** (-2.0 * beta)
+
 
 def information_sum(u: float, lam: np.ndarray, n: int, beta: float) -> float:
-    """Eigenvalue form (1/2) sum lam_i^2 n^(-4 beta) / (u lam_i n^(-2 beta) + 1)^2."""
-    w = lam * float(n) ** (-2.0 * beta)
+    """Eigenvalue form (1/2) sum w_i^2 / (u w_i + 1)^2 with w = information_weights."""
+    w = information_weights(lam, n, beta)
     return 0.5 * float(np.sum((w / (u * w + 1.0)) ** 2))
 
 
@@ -35,59 +44,53 @@ def whitened_system(spec: ModelSpec) -> WhitenedSystem:
     return whiten(cov_x, cov_y)
 
 
-def fisher_exact(spec: ModelSpec, system: WhitenedSystem | None = None,
-                 debug: bool = False) -> float:
-    """Exact finite-n Fisher information for sigma^2.
-
-    With ``debug`` and n <= 256, cross-checks the eigenvalue sum against the
-    raw trace form (1/2) tr([n^(-2 beta) Cov(x) Cov(z)^(-1)]^2).
-    """
+def fisher_exact(spec: ModelSpec, system: WhitenedSystem | None = None) -> float:
+    """Exact finite-n Fisher information for sigma^2."""
     system = whitened_system(spec) if system is None else system
-    val = information_sum(spec.sigma ** 2, system.lam, spec.n, spec.beta)
-    if debug and spec.n <= 256:
-        cov_x = spec.cov_x()
-        cov_z = (spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta) * cov_x
-                 + diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention))
-        b = float(spec.n) ** (-2.0 * spec.beta) * np.linalg.solve(cov_z, cov_x)
-        trace_val = 0.5 * float(np.sum(b * b.T))
-        if abs(trace_val - val) > 1e-6 * max(abs(val), 1e-300):
-            raise RuntimeError(
-                f"eigenvalue sum {val!r} disagrees with trace form {trace_val!r}")
-    return val
+    return information_sum(spec.sigma ** 2, system.lam, spec.n, spec.beta)
 
 
 # ---------------------------------------------------------------------------
 # spectral-integral approximation
 # ---------------------------------------------------------------------------
 
-def _integrand_factory(spec: ModelSpec, k_max: int):
+def _ratio_sq(spec: ModelSpec, noise):
+    """lam -> f^2/h^2 = 1/(pref + noise/f)^2 for the noise spectrum ``noise``,
+    stable where f is very large or tiny, and 0 where f vanishes."""
     pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
 
-    if spec.x_cov.kind == "fgn":
-        f_eval = spec.spectral_density_x_aliased
-    else:
-        f_eval = lambda lam: spec.spectral_density_x(lam, k_max=k_max)
-
     def ratio_sq(lam):
-        # f^2/h^2 = 1/(pref + noise/f)^2, stable where f is very large or tiny
-        fv = np.asarray(f_eval(lam), dtype=float)
-        nv = spec.noise_spectral_density(lam)
+        fv = np.asarray(spec.spectral_density_f(lam), dtype=float)
+        nv = noise(lam)
         out = np.zeros_like(fv)
         pos = fv > 0
         with np.errstate(divide="ignore", over="ignore"):
             out[pos] = 1.0 / (pref + nv[pos] / fv[pos]) ** 2
         return out
 
-    def signal_minus_noise(lam):
-        return pref * np.asarray(f_eval(lam), dtype=float) - spec.noise_spectral_density(lam)
-
-    return ratio_sq, signal_minus_noise
+    return ratio_sq
 
 
-def spectral_crossover(spec: ModelSpec, k_max: int = DEFAULT_KMAX) -> float | None:
+def _panel_sum(ratio_sq, anchor: float, m: int) -> float:
+    """int_0^pi ratio_sq: m log-spaced Gauss panels on each side of the
+    anchor (one side when it is pi), plus the flat piece below anchor * 1e-9."""
+    lam_lo = max(anchor * 1e-9, 1e-300)
+    edges = [np.geomspace(lam_lo, anchor, m + 1)]
+    if anchor < np.pi:
+        edges.append(np.geomspace(anchor, np.pi, m + 1)[1:])
+    acc = panel_integrate(ratio_sq, np.concatenate(edges), nodes=16)
+    return acc + float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
+
+
+def spectral_crossover(spec: ModelSpec) -> float | None:
     """Frequency where the scaled signal spectrum crosses the noise spectrum,
     or None if the two never cross on (0, pi]."""
-    _, diff = _integrand_factory(spec, k_max)
+    pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
+
+    def diff(lam):
+        return (pref * np.asarray(spec.spectral_density_f(lam), dtype=float)
+                - spec.noise_spectral_density(lam))
+
     grid = np.geomspace(1e-30, np.pi, 601)
     vals = diff(grid)
     sign = np.sign(vals)
@@ -104,71 +107,45 @@ def spectral_crossover(spec: ModelSpec, k_max: int = DEFAULT_KMAX) -> float | No
     return math.sqrt(lo * hi)
 
 
-def fisher_integral(spec: ModelSpec, rtol: float = 1e-6,
-                    k_max: int = DEFAULT_KMAX, max_panels: int = 2048) -> float:
+def fisher_integral(spec: ModelSpec) -> float:
     """Spectral-integral Fisher approximation
     (n^(1-4 beta) / 2 pi) * int_0^pi f^2 / h_n^2.
 
     Adaptive log-spaced panels anchored at the signal/noise crossover, where
     the integrand drops off the plateau sigma^-4 n^(4 beta); panel counts are
-    doubled until two refinements agree to ``rtol`` relative.
+    doubled, up to MAX_PANELS, until two refinements agree to INTEGRAL_RTOL
+    relative.
     """
-    ratio_sq, _ = _integrand_factory(spec, k_max)
-    anchor = spectral_crossover(spec, k_max) or np.pi
-    lam_lo = max(anchor * 1e-9, 1e-300)
-
-    def value(m: int) -> float:
-        edges = [np.geomspace(lam_lo, anchor, m + 1)]
-        if anchor < np.pi:
-            edges.append(np.geomspace(anchor, np.pi, m + 1)[1:])
-        edges = np.concatenate(edges)
-        acc = panel_integrate(ratio_sq, edges, nodes=16)
-        return acc + float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
-
-    prev = value(64)
+    ratio_sq = _ratio_sq(spec, spec.noise_spectral_density)
+    anchor = spectral_crossover(spec) or np.pi
+    prev = _panel_sum(ratio_sq, anchor, 64)
     m = 128
-    while m <= max_panels:
-        cur = value(m)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+    while m <= MAX_PANELS:
+        cur = _panel_sum(ratio_sq, anchor, m)
+        if abs(cur - prev) <= INTEGRAL_RTOL * max(abs(cur), 1e-300):
             break
         prev = cur
         m *= 2
     else:
         raise QuadratureError(
             "Fisher spectral integral did not converge",
-            info={"last": prev, "previous_panels": m // 2, "rtol": rtol,
+            info={"last": prev, "previous_panels": m // 2, "rtol": INTEGRAL_RTOL,
                   "crossover": anchor, "n": spec.n})
     return float(spec.n) ** (1.0 - 4.0 * spec.beta) / (2.0 * np.pi) * cur
 
 
-def fisher_integral_bracket(spec: ModelSpec, rtol: float = 1e-6,
-                            k_max: int = DEFAULT_KMAX) -> tuple[float, float]:
+def fisher_integral_bracket(spec: ModelSpec) -> tuple[float, float]:
     """Lower/upper Fisher values from the elementary noise-spectrum bounds
     4^-K tau^2 lam^(2K) <= noise <= tau^2 lam^(2K)."""
-    out = []
-    for bound in ("upper", "lower"):
-        sub = spec
-        pref = sub.sigma ** 2 * float(sub.n) ** (-2.0 * sub.beta)
-        fac = 4.0 ** (-sub.K) if bound == "upper" else 1.0
+    anchor = spectral_crossover(spec) or np.pi
+    scale = float(spec.n) ** (1.0 - 4.0 * spec.beta) / (2.0 * np.pi)
 
-        def ratio_sq(lam, fac=fac, sub=sub, pref=pref):
-            fv = np.asarray(sub.spectral_density_f(lam), dtype=float)
-            nv = fac * sub.tau ** 2 * np.asarray(lam) ** (2 * sub.K)
-            res = np.zeros_like(fv)
-            pos = fv > 0
-            res[pos] = 1.0 / (pref + nv[pos] / fv[pos]) ** 2
-            return res
+    def value(fac: float) -> float:
+        noise = lambda lam: fac * spec.tau ** 2 * np.asarray(lam) ** (2 * spec.K)
+        return scale * _panel_sum(_ratio_sq(spec, noise), anchor, 512)
 
-        anchor = spectral_crossover(sub, k_max) or np.pi
-        lam_lo = max(anchor * 1e-9, 1e-300)
-        edges = np.concatenate([np.geomspace(lam_lo, anchor, 513),
-                                np.geomspace(anchor, np.pi, 513)[1:]]) \
-            if anchor < np.pi else np.geomspace(lam_lo, np.pi, 1025)
-        val = panel_integrate(ratio_sq, edges, nodes=16) \
-            + float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
-        out.append(float(sub.n) ** (1.0 - 4.0 * sub.beta) / (2.0 * np.pi) * val)
-    high, low = out[0], out[1]
-    return low, high
+    # the larger noise bound gives the smaller information
+    return value(1.0), value(4.0 ** (-spec.K))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +301,12 @@ def fisher_closed_form(spec: ModelSpec) -> FisherReport:
         log_factor=log_factor, warnings=tuple(warnings))
 
 
-def fisher_report(spec: ModelSpec, methods=("exact", "integral", "closed-form"),
-                  rtol: float = 1e-6) -> FisherReport:
+def fisher_report(spec: ModelSpec,
+                  methods=("exact", "integral", "closed-form")) -> FisherReport:
     """Combined report; ``methods`` selects which of the three routes run."""
     report = fisher_closed_form(spec)
     exact = fisher_exact(spec) if "exact" in methods else None
-    integral = fisher_integral(spec, rtol=rtol) if "integral" in methods else None
+    integral = fisher_integral(spec) if "integral" in methods else None
     closed = report.closed_form if "closed-form" in methods else None
     return FisherReport(
         n=spec.n, exact=exact, integral=integral,
@@ -373,7 +350,7 @@ def _loglog_slope(ns, vals) -> float:
     return float(coef[1])
 
 
-def rate_scan(spec: ModelSpec, n_grid, rtol: float = 1e-6) -> RateScan:
+def rate_scan(spec: ModelSpec, n_grid) -> RateScan:
     """Evaluate the integral and closed-form Fisher over an increasing grid
     of sample sizes and fit the growth exponents."""
     n_grid = [int(v) for v in n_grid]
@@ -382,7 +359,7 @@ def rate_scan(spec: ModelSpec, n_grid, rtol: float = 1e-6) -> RateScan:
     ints, closeds = [], []
     for n in n_grid:
         sub = with_n(spec, n)
-        ints.append(fisher_integral(sub, rtol=rtol))
+        ints.append(fisher_integral(sub))
         closeds.append(fisher_closed_form(sub).closed_form)
     return RateScan(
         n_grid=tuple(n_grid), integral=tuple(ints), closed_form=tuple(closeds),

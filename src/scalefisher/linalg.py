@@ -29,21 +29,19 @@ def toeplitz(gamma) -> np.ndarray:
     return _sp_toeplitz(gamma)
 
 
-def diff_matrix(n: int) -> np.ndarray:
-    """Backward difference operator (lower bidiagonal, zero initial value)."""
-    return np.eye(n) - np.eye(n, k=-1)
-
-
 def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.ndarray:
     """Noise covariance tau^2 (D D^t)^K or tau^2 (D^t D)^K with exact
-    integer combinatorial entries before the tau^2 scaling."""
+    integer combinatorial entries before the tau^2 scaling.
+
+    The powers run in float64 BLAS: every entry and partial sum is a small
+    integer, so the result equals the integer matrix power exactly."""
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     if K == 0:
         return tau ** 2 * np.eye(n)
-    d = np.eye(n, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    d = np.eye(n) - np.eye(n, k=-1)
     base = d @ d.T if convention == DELTA_DELTAT else d.T @ d
-    return tau ** 2 * np.linalg.matrix_power(base, K).astype(float)
+    return tau ** 2 * np.linalg.matrix_power(base, K)
 
 
 def dct_nodes(n: int) -> np.ndarray:
@@ -56,11 +54,14 @@ def dct_basis(n: int) -> np.ndarray:
     """Orthonormal symmetric cosine basis C_ij = 2/sqrt(2n+1) cos((i-1/2) u_j).
 
     C diagonalizes D D^t exactly; the row-reversed basis E C diagonalizes
-    D^t D, both with eigenvalues 4 sin^2(u_i / 2).
+    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only, because the
+    array is shared by every caller through the cache.
     """
     u = dct_nodes(n)
     i = np.arange(1, n + 1)[:, None]
-    return 2.0 / np.sqrt(2.0 * n + 1.0) * np.cos((i - 0.5) * u[None, :])
+    basis = 2.0 / np.sqrt(2.0 * n + 1.0) * np.cos((i - 0.5) * u[None, :])
+    basis.flags.writeable = False
+    return basis
 
 
 def noise_eigenvalues(n: int, K: int, tau: float) -> np.ndarray:
@@ -122,7 +123,8 @@ class WhitenedSystem:
 
 def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     """Whitening transform for a PSD signal covariance against a positive
-    definite noise covariance."""
+    definite noise covariance.  The arrays are read-only, because the
+    system is shared through the ``whitened_system`` cache."""
     try:
         a = cholesky(cov_y, lower=False)
     except LinAlgError as exc:
@@ -140,4 +142,6 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
             f"whitened signal covariance has eigenvalue {lam[-1]:.3e} below "
             f"-{NEG_EIG_TOL:g} * lambda_1")
     np.clip(lam, 0.0, None, out=lam)
+    for arr in (a, vec, lam):
+        arr.flags.writeable = False
     return WhitenedSystem(a_factor=a, basis=vec, lam=lam)

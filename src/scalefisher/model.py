@@ -310,22 +310,22 @@ class ModelSpec:
             raise DomainError("frequency must lie in (0, pi]")
         return lam
 
-    def spectral_density_x(self, lam, k_max: int = DEFAULT_KMAX):
+    def spectral_density_x(self, lam):
         """Signal spectral density f = sum_k gamma_k cos(k lam).
 
-        Truncated cosine series over lags 0..k_max plus an analytic tail
-        built from the power-law asymptote of gamma.
+        Truncated cosine series over lags 0..DEFAULT_KMAX plus an analytic
+        tail built from the power-law asymptote of gamma.
         """
         lam = self._check_lambda(lam)
         scalar = lam.ndim == 0
         lam = np.atleast_1d(lam)
-        g = self.gamma_array(k_max)
+        g = self.gamma_array(DEFAULT_KMAX)
         out = np.full(lam.shape, g[0])
-        kk = np.arange(1, k_max + 1, dtype=float)
-        for lo in range(0, k_max, 16384):
-            sl = slice(lo, min(lo + 16384, k_max))
+        kk = np.arange(1, DEFAULT_KMAX + 1, dtype=float)
+        for lo in range(0, DEFAULT_KMAX, 16384):
+            sl = slice(lo, min(lo + 16384, DEFAULT_KMAX))
             out += 2.0 * g[1 + lo:1 + sl.stop] @ np.cos(np.outer(kk[sl], lam))
-        out += 2.0 * self._gamma_tail_cos(lam, k_max + 1)
+        out += 2.0 * self._gamma_tail_cos(lam, DEFAULT_KMAX + 1)
         return float(out[0]) if scalar else out
 
     def _gamma_tail_cos(self, lam, k_start: int):

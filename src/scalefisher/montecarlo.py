@@ -24,11 +24,14 @@ ESTIMATORS = ("oracle", "efficient")
 
 @lru_cache(maxsize=6)
 def _signal_chol(spec: ModelSpec) -> np.ndarray:
-    """Lower Cholesky factor of Cov(x); exact dense sampling baseline."""
+    """Lower Cholesky factor of Cov(x); exact dense sampling baseline.
+    Read-only, because the factor is shared through the cache."""
     try:
-        return cholesky(spec.cov_x(), lower=True)
+        factor = cholesky(spec.cov_x(), lower=True)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError("signal covariance is not positive definite") from exc
+    factor.flags.writeable = False
+    return factor
 
 
 def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:

@@ -8,6 +8,7 @@ import pytest
 
 import scalefisher as sf
 from scalefisher.estimator import MIN_INFORMATION, _weighted_sum
+from scalefisher.fisher import information_weights
 
 
 def flat_spec(n, beta=0.05, sigma=1.0, tau=1.0):
@@ -121,7 +122,7 @@ def test_oracle_mean_substitution_identity():
     mean_z2 = spec.sigma ** 2 * w + 1.0
     for u in (0.3, 1.0, spec.sigma ** 2, 5.0):
         for idx in (np.arange(96), np.arange(10, 60), np.arange(0, 96, 3)):
-            val, _ = _weighted_sum(mean_z2, system.lam, 96, spec.beta, u, idx)
+            val = _weighted_sum(mean_z2, w, u, idx)
             assert val == pytest.approx(spec.sigma ** 2, rel=1e-10)
 
 
@@ -154,6 +155,7 @@ def test_estimate_exact_mean_data_recovers_sigma2():
     assert res.preliminary_V == pytest.approx(spec.sigma ** 2, rel=1e-10)
     assert res.sigma2_tilde == pytest.approx(spec.sigma ** 2, rel=1e-10)
     assert res.sigma2_hat == pytest.approx(spec.sigma ** 2, rel=1e-10)
+    assert res.plugin_fisher == pytest.approx(sf.fisher_exact(spec), rel=1e-9)
 
 
 def test_estimate_clamps_low_preliminary():
@@ -185,8 +187,9 @@ def test_weighted_sum_order_invariance():
     rng = np.random.default_rng(3)
     z2 = rng.chisquare(1, size=128)
     idx = np.arange(40, 128)
-    a = _weighted_sum(z2, system.lam, 128, 0.5, 0.9, idx)
-    b = _weighted_sum(z2, system.lam, 128, 0.5, 0.9, rng.permutation(idx))
+    w = information_weights(system.lam, 128, 0.5)
+    a = _weighted_sum(z2, w, 0.9, idx)
+    b = _weighted_sum(z2, w, 0.9, rng.permutation(idx))
     assert a == b  # bit-identical: ascending-order summation policy
 
 

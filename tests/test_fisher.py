@@ -44,7 +44,7 @@ def test_exact_white_noise_closed_form():
 def test_exact_matches_trace_oracle():
     for spec in (sf.fbm_wn_spec(96, 0.3), sf.fbm_wn_spec(64, 0.75, sigma=1.2, tau=0.8),
                  sf.integrated_fbm_spec(48, 0.1)):
-        val = sf.fisher_exact(spec, debug=True)  # internal 1e-6 cross-check
+        val = sf.fisher_exact(spec)
         cov_x = spec.cov_x()
         cov_z = (spec.sigma ** 2 * float(spec.n) ** (-2 * spec.beta) * cov_x
                  + sf.diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention))

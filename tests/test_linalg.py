@@ -188,3 +188,13 @@ def test_whiten_transform_diagonalizes_cov_z():
 def test_whiten_rejects_indefinite_noise():
     with pytest.raises(sf.NotPositiveDefiniteError):
         sf.whiten(np.eye(3), np.diag([1.0, -1.0, 1.0]))
+
+
+def test_cached_arrays_are_read_only():
+    # a write through a returned array would silently change the cached value
+    with pytest.raises(ValueError):
+        sf.dct_basis(8)[0, 0] = 1.0
+    system = sf.whitened_system(sf.fbm_wn_spec(16, 0.5))
+    with pytest.raises(ValueError):
+        system.lam[0] = 1.0
+    assert not system.basis.flags.writeable and not system.a_factor.flags.writeable
