@@ -98,9 +98,12 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
     if idx.size == 0:
         return None
     lo, hi = grid[idx[0]], grid[idx[0] + 1]
+    sign_lo = sign[idx[0]]  # every move of lo keeps this sign
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if diff(np.array([mid]))[0] * diff(np.array([lo]))[0] <= 0:
+        if not lo < mid < hi:
+            break
+        if diff(np.array([mid]))[0] * sign_lo <= 0:
             hi = mid
         else:
             lo = mid

@@ -20,12 +20,12 @@ from ._quad import (
     QuadratureError,
     cos_tail_sum,
     gauss_nodes,
-    panel_integrate,
     refine_to_tolerance,
     smoothed_integrate,
 )
 
-DEFAULT_KMAX = 100_000
+# cos_tail_sum needs k_start >= 800, where its Abel/EM switch max(0.05, 40/k) is 0.05
+SERIES_LAGS = 1024
 
 DELTA_DELTAT = "delta_deltaT"   # Cov(y) = tau^2 (D D^t)^K
 DELTAT_DELTA = "deltaT_delta"   # Cov(y) = tau^2 (D^t D)^K
@@ -127,10 +127,7 @@ def _gamma_integrated_block(H: float, kmax: int):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             t = mid + half * x
             wt = w * half * (1.0 - np.abs(t))
-            # chunk lags to bound the (lags x nodes) kernel matrix
-            for lo in range(0, ks.size, 8192):
-                sl = slice(lo, min(lo + 8192, ks.size))
-                acc[sl] += _fgn_kernel(H, ks[sl, None] + t[None, :]) @ wt
+            acc += _fgn_kernel(H, ks[:, None] + t[None, :]) @ wt
         out[3:] = acc
     return out
 
@@ -311,22 +308,16 @@ class ModelSpec:
         return lam
 
     def spectral_density_x(self, lam):
-        """Signal spectral density f = sum_k gamma_k cos(k lam).
-
-        Truncated cosine series over lags 0..DEFAULT_KMAX plus an analytic
-        tail built from the power-law asymptote of gamma.
-        """
+        """Signal spectral density f = sum_k gamma_k cos(k lam) as a series:
+        the lags below k0 = max(len(values), SERIES_LAGS) explicitly, the rest
+        in closed form from the power-law asymptote of gamma.  Serves user
+        sequences, and cross-checks the folded form for fgn."""
         lam = self._check_lambda(lam)
-        scalar = lam.ndim == 0
-        lam = np.atleast_1d(lam)
-        g = self.gamma_array(DEFAULT_KMAX)
-        out = np.full(lam.shape, g[0])
-        kk = np.arange(1, DEFAULT_KMAX + 1, dtype=float)
-        for lo in range(0, DEFAULT_KMAX, 16384):
-            sl = slice(lo, min(lo + 16384, DEFAULT_KMAX))
-            out += 2.0 * g[1 + lo:1 + sl.stop] @ np.cos(np.outer(kk[sl], lam))
-        out += 2.0 * self._gamma_tail_cos(lam, DEFAULT_KMAX + 1)
-        return float(out[0]) if scalar else out
+        k0 = max(len(self.x_cov.values), SERIES_LAGS)
+        g = self.gamma_array(k0 - 1)
+        out = (g[0] + 2.0 * (np.cos(np.outer(lam, np.arange(1, k0))) @ g[1:])
+               + 2.0 * self._gamma_tail_cos(lam, k0))
+        return float(out[0]) if lam.ndim == 0 else out
 
     def _gamma_tail_cos(self, lam, k_start: int):
         """sum_{k >= k_start} gamma_k cos(k lam) from the asymptote of gamma."""
@@ -342,27 +333,30 @@ class ModelSpec:
         return s * scale * cos_tail_sum(p, lam, k_start, ell_fun=self.ell)
 
     def spectral_density_x_aliased(self, lam):
-        """Exact fGn spectral density via the folded power law
-        2 sin(pi H) Gamma(2H+1) (1 - cos lam) sum_j |2 pi j + lam|^(-2H-1),
-        with the lattice sum expressed through the Hurwitz zeta function.
-        Only available for the fgn kind; independent of the series evaluator.
-        """
-        if self.x_cov.kind != "fgn":
-            raise DomainError("aliased evaluator only applies to the fgn kind")
+        """Exact preset spectral density via the folded power law, the lattice
+        sum through the Hurwitz zeta function.  fgn: 2 sin(pi H) Gamma(2H+1)
+        (1 - cos lam) sum_j |2 pi j + lam|^(-2H-1).  The integrated preset's
+        unit-window average multiplies the continuous spectrum by
+        (sin(w/2)/(w/2))^2: 16 sin(pi H) Gamma(2H+1) sin^4(lam/2)
+        sum_j |2 pi j + lam|^(-2H-3).  DomainError for user sequences."""
+        if self.x_cov.kind == "user_sequence":
+            raise DomainError("aliased evaluator only applies to the preset kinds")
         lam = self._check_lambda(lam)
         H = self.x_cov.hurst
-        s = 2.0 * H + 1.0
+        integrated = self.x_cov.kind == "integrated_fbm_increment"
+        s = 2.0 * H + (3.0 if integrated else 1.0)
         q = lam / (2.0 * np.pi)
         lattice = zeta(s, q) + zeta(s, 1.0 - q)
-        val = (2.0 * np.sin(np.pi * H) * gamma_fn(2.0 * H + 1.0)
-               * 2.0 * np.sin(lam / 2.0) ** 2 * (2.0 * np.pi) ** (-s) * lattice)
-        return self.x_cov.scale * val
+        amp = 2.0 * np.sin(np.pi * H) * gamma_fn(2.0 * H + 1.0) * 2.0 * np.sin(lam / 2.0) ** 2
+        if integrated:
+            amp = amp * 4.0 * np.sin(lam / 2.0) ** 2
+        return self.x_cov.scale * (amp * (2.0 * np.pi) ** (-s) * lattice)
 
     def spectral_density_f(self, lam):
-        """Best available evaluator for f (exact folded form for fgn)."""
-        if self.x_cov.kind == "fgn":
-            return self.spectral_density_x_aliased(lam)
-        return self.spectral_density_x(lam)
+        """f by the model's definition: folded form for presets, series for user."""
+        if self.x_cov.kind == "user_sequence":
+            return self.spectral_density_x(lam)
+        return self.spectral_density_x_aliased(lam)
 
     def noise_spectral_density(self, lam):
         lam = self._check_lambda(lam)

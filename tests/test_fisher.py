@@ -14,6 +14,7 @@ from scalefisher.fisher import (
     critical_fisher_log_integral,
     fisher_integral_bracket,
     information_sum,
+    spectral_crossover,
 )
 from scalefisher.model import with_n
 
@@ -130,6 +131,24 @@ def test_integral_sandwich():
         low, high = fisher_integral_bracket(spec)
         assert low <= val * (1 + 1e-9)
         assert val <= high * (1 + 1e-9)
+
+
+def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
+    # one grid call, then one call per bisection step until the bracket stops
+    # shrinking in floating point
+    calls = []
+    orig = sf.ModelSpec.spectral_density_f
+
+    def counted(self, lam):
+        calls.append(np.size(lam))
+        return orig(self, lam)
+
+    monkeypatch.setattr(sf.ModelSpec, "spectral_density_f", counted)
+    spec = sf.fbm_wn_spec(10 ** 6, 0.3)
+    lam_c = spectral_crossover(spec)
+    assert len(calls) <= 52
+    h = spec.sigma ** 2 * 1e6 ** (-2 * spec.beta) * orig(spec, lam_c)
+    assert h == pytest.approx(float(spec.noise_spectral_density(lam_c)), rel=1e-9)
 
 
 def test_integral_integrated_preset_runs():

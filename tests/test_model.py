@@ -228,6 +228,56 @@ def test_spectrum_crosscheck_single_point():
     assert a == pytest.approx(b, rel=1e-6)
 
 
+def brute_series(spec, lam, kmax=1 << 21, chunk=1 << 16):
+    """gamma_0 + 2 sum_{1 <= k < kmax} gamma_k cos(k lam) + 2 * tail from kmax,
+    summed in chunks of lags so memory stays bounded."""
+    out = np.full(lam.shape, float(spec.gamma(0)))
+    for lo in range(1, kmax, chunk):
+        ks = np.arange(lo, min(lo + chunk, kmax))
+        out += 2.0 * (np.cos(np.outer(lam, ks)) @ spec.gamma(ks))
+    return out + 2.0 * spec._gamma_tail_cos(lam, kmax)
+
+
+@pytest.mark.parametrize("values, alpha, ell", [
+    ((2.0, 1.0, 0.7), -0.2, 0.5),       # the benchmark's user spectrum
+    ((1.0, 0.3, -0.1), 0.2, 0.05),
+    # 1500 given lags off the asymptote: all of them must enter the sum
+    (tuple([4.0] + [0.5 * k ** -1.2 * (1 + 0.5 * np.cos(k)) for k in range(1, 1500)]),
+     0.2, 0.05),
+])
+def test_user_series_matches_brute_force(values, alpha, ell):
+    spec = sf.user_spec(100, beta=0.25, sigma=1.0, tau=1.0, K=1,
+                        gamma_values=values, alpha=alpha,
+                        ell=sf.SlowlyVaryingSpec("constant", ell))
+    lam = np.geomspace(1e-5, np.pi, 12)
+    np.testing.assert_allclose(spec.spectral_density_x(lam), brute_series(spec, lam),
+                               rtol=1e-9)
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.2])
+def test_integrated_folded_form_inverts_to_gamma(H):
+    # (1/pi) int_0^pi f cos(k lam) = gamma_k; f ~ lam^(1-2H), so the piece
+    # below 1e-10 is below 1e-16 and is left out
+    spec = sf.integrated_fbm_spec(64, H)
+    edges = np.concatenate([np.geomspace(1e-10, 0.1, 301), np.linspace(0.1, np.pi, 301)[1:]])
+    x, w = gauss_nodes(16)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = mid[:, None] + half[:, None] * x[None, :]
+    f = spec.spectral_density_x_aliased(pts)
+    for k in (0, 1, 2, 7):
+        gk = float(np.sum(((f * np.cos(k * pts)) @ w) * half)) / np.pi
+        assert gk == pytest.approx(sf.gamma_integrated_fbm(H, k), rel=1e-9)
+
+
+def test_aliased_rejects_user_sequence():
+    spec = sf.user_spec(16, beta=0.5, sigma=1.0, tau=1.0, K=1,
+                        gamma_values=[1.0, 0.2], alpha=-0.2,
+                        ell=sf.SlowlyVaryingSpec("constant", 0.3))
+    with pytest.raises(sf.DomainError):
+        spec.spectral_density_x_aliased(1.0)
+
+
 def test_spectrum_small_lambda_power_law():
     # f(lam) * lam^(2 alpha) -> 2 sign(-alpha) Gamma(-2 alpha) cos(pi alpha) * ell
     spec = sf.fbm_wn_spec(64, 0.75)
