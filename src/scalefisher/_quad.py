@@ -35,46 +35,6 @@ def panel_integrate(fun, edges, nodes: int = 16) -> float:
     return float(np.sum((vals @ w) * half))
 
 
-def _smooth_map(x):
-    # quintic map with vanishing first/second derivative at both endpoints;
-    # damps algebraic endpoint singularities so plain Gauss nodes converge fast
-    s = (15.0 * x - 10.0 * x**3 + 3.0 * x**5) / 8.0
-    ds = 15.0 * (1.0 - x * x) ** 2 / 8.0
-    return s, ds
-
-
-def smoothed_integrate(fun, a: float, b: float, nodes: int) -> float:
-    """Gauss-Legendre on [a, b] with endpoint-smoothing change of variables."""
-    x, w = gauss_nodes(nodes)
-    s, ds = _smooth_map(x)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid + half * s
-    return float(np.sum(fun(pts) * w * ds) * half)
-
-
-def refine_to_tolerance(value_at, m0: int = 32, m_max: int = 8192,
-                        rtol: float = 1e-9, what: str = "integral") -> float:
-    """Call ``value_at(m)`` with doubling order until successive values agree.
-
-    Stops when two refinements differ by less than ``rtol`` relative; raises
-    :class:`QuadratureError` if the cap is reached without stabilizing.
-    """
-    prev = value_at(m0)
-    m = 2 * m0
-    while m <= m_max:
-        cur = value_at(m)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        if abs(cur - prev) <= rtol * scale:
-            return cur
-        prev = cur
-        m *= 2
-    raise QuadratureError(
-        f"{what} did not stabilize to rtol={rtol:g} at order {m_max}",
-        info={"last": prev, "rtol": rtol, "m_max": m_max},
-    )
-
-
 def asymptotic_cos_tail(p: float, z):
     """``int_z^inf u^(-p) cos(u) du`` for large ``z`` by integration by parts.
 
@@ -103,8 +63,10 @@ def _osc_edges(zmin: float) -> np.ndarray:
     return np.unique(np.concatenate([geo, lin]))
 
 
-def _abel_cos_tail(p: float, lam, k_start: int, ell_fun, ell_const: float,
-                   depth: int = 12):
+_ABEL_DEPTH = 12  # forward differences of the tail terms kept
+
+
+def _abel_cos_tail(p: float, lam, k_start: int, ell_fun, ell_const: float):
     """Tail sum by iterated summation by parts against the geometric kernel.
 
     sum_{k>=K} a_k x^k = x^K/(1-x) * sum_j (x/(1-x))^j (Delta^j a)(K) + rem,
@@ -112,11 +74,11 @@ def _abel_cos_tail(p: float, lam, k_start: int, ell_fun, ell_const: float,
     accumulated per lam only while their magnitude keeps decreasing.
     Complements the Euler-Maclaurin route which covers small lam.
     """
-    ks = k_start + np.arange(depth + 1, dtype=float)
+    ks = k_start + np.arange(_ABEL_DEPTH + 1, dtype=float)
     a = ks ** (-p) * (ell_fun(ks) if ell_fun is not None else ell_const)
-    fwd = np.empty(depth)
+    fwd = np.empty(_ABEL_DEPTH)
     cur = a
-    for j in range(depth):
+    for j in range(_ABEL_DEPTH):
         fwd[j] = cur[0]
         cur = np.diff(cur)
     x = np.exp(1j * lam)
@@ -125,7 +87,7 @@ def _abel_cos_tail(p: float, lam, k_start: int, ell_fun, ell_const: float,
     rj = np.ones_like(x)
     prev_mag = np.full(lam.shape, abs(fwd[0]))
     active = np.ones(lam.shape, dtype=bool)
-    for j in range(1, depth):
+    for j in range(1, _ABEL_DEPTH):
         rj = rj * r
         term = fwd[j] * rj
         mag = np.abs(term)

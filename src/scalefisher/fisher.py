@@ -306,14 +306,13 @@ def fisher_closed_form(spec: ModelSpec) -> FisherReport:
 
 def fisher_report(spec: ModelSpec,
                   methods=("exact", "integral", "closed-form")) -> FisherReport:
-    """Combined report; ``methods`` selects which of the three routes run."""
+    """Combined report; ``methods`` selects whether the exact and integral
+    routes run.  The closed form always runs: it carries the regime."""
     report = fisher_closed_form(spec)
     exact = fisher_exact(spec) if "exact" in methods else None
     integral = fisher_integral(spec) if "integral" in methods else None
-    closed = report.closed_form if "closed-form" in methods else None
     return FisherReport(
-        n=spec.n, exact=exact, integral=integral,
-        closed_form=closed if closed is not None else report.closed_form,
+        n=spec.n, exact=exact, integral=integral, closed_form=report.closed_form,
         diamond=report.diamond, regime=report.regime,
         rate_exponent=report.rate_exponent, log_factor=report.log_factor,
         warnings=report.warnings)

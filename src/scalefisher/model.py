@@ -11,21 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, zeta
 
-from ._quad import (
-    QuadratureError,
-    cos_tail_sum,
-    gauss_nodes,
-    refine_to_tolerance,
-    smoothed_integrate,
-)
+from ._quad import QuadratureError, cos_tail_sum
 
 # cos_tail_sum needs k_start >= 800, where its Abel/EM switch max(0.05, 40/k) is 0.05
 SERIES_LAGS = 1024
+# frequencies per block of the lag series: bounds its len(lam) x k0 temporaries
+SERIES_BLOCK = 4096
+# agreement of two successive truncations of sum_gamma_squared
+SUM_SQ_RTOL = 1e-6
 
 DELTA_DELTAT = "delta_deltaT"   # Cov(y) = tau^2 (D D^t)^K
 DELTAT_DELTA = "deltaT_delta"   # Cov(y) = tau^2 (D^t D)^K
@@ -40,30 +37,59 @@ class DomainError(ValueError):
 # autocovariance kernels
 # ---------------------------------------------------------------------------
 
-def _fgn_kernel(H: float, w):
-    """Second difference of |w|^(2H)/2 at real lag w.
+# stencils ((c_j, a_j), ...) of sum_j c_j |w + a_j|^p; the order of the terms
+# is the order of summation
+_SECOND_DIFF = ((1.0, 1.0), (1.0, -1.0), (-2.0, 0.0))
+_THIRD_DIFF = ((1.0, 1.0), (-3.0, 0.0), (3.0, -1.0), (-1.0, -2.0))
+_FOURTH_DIFF = ((1.0, 2.0), (-4.0, 1.0), (6.0, 0.0), (-4.0, -1.0), (1.0, -2.0))
 
-    Direct evaluation loses precision for large |w| (the three terms nearly
-    cancel), so beyond |w| = 8 the binomial series in 1/w^2 is used.
+
+def _power_stencil(p: float, stencil, w, switch: float):
+    """sum_j c_j |w + a_j|^p at w >= 0, for a difference stencil
+    ((c_j, a_j), ...) with sum_j c_j = 0.
+
+    Below ``switch`` the sum is evaluated directly.  Beyond it the terms
+    nearly cancel, so the binomial series w^p sum_m binom(p, m) M_m w^(-m),
+    M_m = sum_j c_j a_j^m, is used (``switch`` must exceed every |a_j|).
+    Symmetric stencils have no odd moments, so their series runs in 1/w^2.
+    Its length is fixed at the smallest w, where it converges slowest: it
+    stops at the first term below double precision there.
     """
-    w = np.abs(np.asarray(w, dtype=float))
+    w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
-    small = w < 8.0
-    ws = w[small]
-    out[small] = 0.5 * ((ws + 1.0) ** (2 * H) + np.abs(ws - 1.0) ** (2 * H)
-                        - 2.0 * ws ** (2 * H))
-    wl = w[~small]
-    if wl.size:
-        acc = np.zeros_like(wl)
-        inv2 = wl ** (-2.0)
-        coef = 1.0
-        powr = np.ones_like(wl)
-        for m in range(1, 9):
-            coef *= (2 * H - (2 * m - 2)) * (2 * H - (2 * m - 1)) / ((2 * m - 1) * (2 * m))
-            powr = powr * inv2
-            acc += coef * powr
-        out[~small] = wl ** (2 * H) * acc
+    near = w < switch
+    wn = w[near]
+    acc = np.zeros_like(wn)
+    for c, a in stencil:
+        acc += c * np.abs(wn + a) ** p
+    out[near] = acc
+    wf = w[~near]
+    if wf.size:
+        step = 2 if sorted(stencil) == sorted((c, -a) for c, a in stencil) else 1
+        moment = lambda m: sum(c * a ** m for c, a in stencil)
+        m0 = next(m for m in range(1, len(stencil)) if moment(m) != 0.0)
+        coefs, binom, total, inv_min = [], 1.0, 0.0, 1.0 / float(wf.min())
+        for m in range(1, 400):
+            binom *= (p - (m - 1)) / m
+            if m < m0 or (m - m0) % step:
+                continue
+            coefs.append(binom * moment(m))
+            term = coefs[-1] * inv_min ** m
+            total += term
+            if abs(term) <= np.finfo(float).eps * abs(total):
+                break
+        v = (1.0 / wf) ** step
+        series = np.full_like(wf, coefs[-1])
+        for b in coefs[-2::-1]:
+            series *= v
+            series += b
+        out[~near] = wf ** p / wf ** m0 * series
     return out
+
+
+def _fgn_kernel(H: float, w):
+    """Second difference of |w|^(2H)/2 at real lag w; the series from |w| = 8."""
+    return 0.5 * _power_stencil(2 * H, _SECOND_DIFF, np.abs(np.asarray(w, dtype=float)), 8.0)
 
 
 def gamma_fgn(H: float, k):
@@ -76,79 +102,40 @@ def gamma_fgn(H: float, k):
     return _fgn_kernel(H, k) if k.ndim else float(_fgn_kernel(H, k))
 
 
-def _triangle_integral(fun, k: float, rtol: float = 1e-10) -> float:
-    """``int_{-1}^{1} (1 - |t|) fun(k + t) dt`` with order-doubling Gauss rule.
-
-    This is the exact reduction of the double integral of ``fun(k + v - u)``
-    over the unit square; the split at t = 0 plus endpoint smoothing keeps
-    the kernel singularities at panel edges.
-    """
-    def value(m):
-        left = smoothed_integrate(lambda t: (1.0 + t) * fun(k + t), -1.0, 0.0, m)
-        right = smoothed_integrate(lambda t: (1.0 - t) * fun(k + t), 0.0, 1.0, m)
-        return left + right
-
-    return refine_to_tolerance(value, m0=32, m_max=16384, rtol=rtol,
-                               what="unit-square covariance integral")
+# the integrated-motion stencils reach |a_j| = 2: their series from w = 3 on
+_INTEGRATED_SWITCH = 3.0
 
 
-@lru_cache(maxsize=None)
-def gamma_integrated_fbm(H: float, k: int) -> float:
+def gamma_integrated_fbm(H: float, k):
     """Stationary autocovariance of consecutive-window increments of
-    integrated fractional motion (window length 1), valid for H in (0, 1/4).
-
-    Quadrature of the pointwise increment kernel over the unit square,
-    refined until successive orders agree to 1e-10 relative.
+    integrated fractional motion (window length 1), valid for H in (0, 1/4):
+    the fourth difference of |k|^(2H+2) / (2 (2H+1) (2H+2)).
     """
     if not 0.0 < H < 0.25:
         raise DomainError(f"integrated-motion preset requires H in (0, 1/4), got {H}")
-    if k < 0:
+    k = np.asarray(k)
+    if np.any(k < 0):
         raise DomainError("lag must be nonnegative")
-    return _triangle_integral(lambda w: _fgn_kernel(H, w), float(k))
-
-
-@lru_cache(maxsize=32)
-def _gamma_integrated_block(H: float, kmax: int):
-    """Vectorized stationary lags 0..kmax for the integrated-motion preset.
-
-    Fixed-order smoothed Gauss rule (validated against the adaptive scalar
-    path); lags 0..2 are delegated to the adaptive rule since their kernels
-    have interior-adjacent singular points.
-    """
-    out = np.empty(kmax + 1)
-    for k in range(min(3, kmax + 1)):
-        out[k] = gamma_integrated_fbm(H, k)
-    if kmax >= 3:
-        m = 48
-        x, w = gauss_nodes(m)
-        ks = np.arange(3, kmax + 1, dtype=float)
-        acc = np.zeros_like(ks)
-        for a, b in ((-1.0, 0.0), (0.0, 1.0)):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            t = mid + half * x
-            wt = w * half * (1.0 - np.abs(t))
-            acc += _fgn_kernel(H, ks[:, None] + t[None, :]) @ wt
-        out[3:] = acc
-    return out
+    out = (_power_stencil(2 * H + 2, _FOURTH_DIFF, k, _INTEGRATED_SWITCH)
+           / (2.0 * (2 * H + 1) * (2 * H + 2)))
+    return out if k.ndim else float(out)
 
 
 def integrated_fbm_boundary_cov(H: float, n: int) -> np.ndarray:
     """Cov(x_1, x_j), j = 1..n, for the integrated-motion preset.
 
-    x_1 is the plain window integral (no differencing), hence nonstationary.
+    x_1 is the plain window integral (no differencing), hence nonstationary:
+    Var x_1 = 1/(2H+2), and for k = j - 1 >= 1 the drift part
+    (second difference of |k|^(2H+1)) / (2 (2H+1)) minus half of
+    g2(k+1) - 3 g2(k) + 3 g2(k-1) - g2(k-2), g2 = |x|^(2H+2) / ((2H+1)(2H+2)).
     """
+    k = np.arange(1, n, dtype=float)
     out = np.empty(n)
-    out[0] = 1.0 / (2.0 * H + 2.0)  # Var of a unit-window integral of the motion
-    for j in range(2, n + 1):
-        k = j - 1
-        # Cov(x_1, x_j) = smooth drift part (exact) minus kernel part
-        g1 = lambda x: x ** (2 * H + 1) / (2 * H + 1)
-        drift = 0.5 * ((g1(k + 1.0) - g1(float(k))) - (g1(float(k)) - g1(k - 1.0)))
-        kern = _triangle_integral(
-            lambda t: 0.5 * (np.abs(k + t) ** (2 * H) - np.abs(k - 1.0 + t) ** (2 * H)),
-            0.0,
-        )
-        out[j - 1] = drift - kern
+    out[0] = 1.0 / (2.0 * H + 2.0)
+    out[1:] = (_power_stencil(2 * H + 1, _SECOND_DIFF, k, _INTEGRATED_SWITCH)
+               / (2.0 * (2 * H + 1))
+               - _power_stencil(2 * H + 2, _THIRD_DIFF, k, _INTEGRATED_SWITCH)
+               / (2.0 * (2 * H + 1) * (2 * H + 2)))
     return out
 
 
@@ -267,11 +254,7 @@ class ModelSpec:
         if xc.kind == "fgn":
             return xc.scale * gamma_fgn(xc.hurst, k)
         if xc.kind == "integrated_fbm_increment":
-            k_arr = np.asarray(k)
-            kmax = int(k_arr.max()) if k_arr.size else 0
-            block = _gamma_integrated_block(xc.hurst, max(kmax, 3))
-            out = xc.scale * block[k_arr]
-            return float(out) if k_arr.ndim == 0 else out
+            return xc.scale * gamma_integrated_fbm(xc.hurst, k)
         k_arr = np.atleast_1d(np.asarray(k, dtype=int))
         vals = np.asarray(xc.values, dtype=float)
         out = np.empty(k_arr.shape, dtype=float)
@@ -309,15 +292,20 @@ class ModelSpec:
 
     def spectral_density_x(self, lam):
         """Signal spectral density f = sum_k gamma_k cos(k lam) as a series:
-        the lags below k0 = max(len(values), SERIES_LAGS) explicitly, the rest
-        in closed form from the power-law asymptote of gamma.  Serves user
-        sequences, and cross-checks the folded form for fgn."""
+        the lags below k0 = max(len(values), SERIES_LAGS) explicitly, over
+        blocks of SERIES_BLOCK frequencies, the rest in closed form from the
+        power-law asymptote of gamma.  Serves user sequences, and cross-checks
+        the folded form for fgn."""
         lam = self._check_lambda(lam)
         k0 = max(len(self.x_cov.values), SERIES_LAGS)
         g = self.gamma_array(k0 - 1)
-        out = (g[0] + 2.0 * (np.cos(np.outer(lam, np.arange(1, k0))) @ g[1:])
-               + 2.0 * self._gamma_tail_cos(lam, k0))
-        return float(out[0]) if lam.ndim == 0 else out
+        flat, lags = lam.ravel(), np.arange(1, k0)
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, SERIES_BLOCK):
+            blk = slice(lo, lo + SERIES_BLOCK)
+            out[blk] = g[0] + 2.0 * (np.cos(np.outer(flat[blk], lags)) @ g[1:])
+        out += 2.0 * self._gamma_tail_cos(flat, k0)
+        return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     def _gamma_tail_cos(self, lam, k_start: int):
         """sum_{k >= k_start} gamma_k cos(k lam) from the asymptote of gamma."""
@@ -368,13 +356,13 @@ class ModelSpec:
         return (self.sigma ** 2 * float(self.n) ** (-2.0 * self.beta)
                 * self.spectral_density_f(lam) + self.noise_spectral_density(lam))
 
-    def sum_gamma_squared(self, rtol: float = 1e-6) -> float:
+    def sum_gamma_squared(self) -> float:
         """sum_{k in Z} gamma_k^2, by truncation plus a power-law tail estimate.
 
         Requires alpha > -1/4 (square-summable).  The estimate amp^2 * (m+1/2)^
         (-4 alpha - 1)/(4 alpha + 1) uses the local power-law amplitude at the
         truncation point; the truncation point is doubled until two corrected
-        totals agree to ``rtol``, which bounds the tail-estimate error.
+        totals agree to ``SUM_SQ_RTOL``, which bounds the tail-estimate error.
         """
         if self.alpha <= -0.25:
             raise DomainError("sum of squared autocovariances diverges for alpha <= -1/4")
@@ -391,12 +379,12 @@ class ModelSpec:
         while m <= (1 << 23):
             m <<= 1
             cur = total(m)
-            if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+            if abs(cur - prev) <= SUM_SQ_RTOL * max(abs(cur), 1e-300):
                 return cur
             prev = cur
         raise QuadratureError(
             "squared-autocovariance sum did not stabilize",
-            info={"last": prev, "k_max": m, "rtol": rtol})
+            info={"last": prev, "k_max": m, "rtol": SUM_SQ_RTOL})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Model layer: autocovariance kernels against independent oracles,
 spectral-density cross-validation, and spec validation."""
 
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -134,12 +137,6 @@ def test_integrated_fbm_asymptote():
 
 
 def test_integrated_fbm_symmetry_and_domain():
-    # integration-variable swap symmetry: the kernel reduction is symmetric in t -> -t
-    H = 0.2
-    g = sf.gamma_integrated_fbm(H, 4)
-    swapped = sf.model._triangle_integral(
-        lambda t: sf.model._fgn_kernel(H, 4.0 - t), 0.0)
-    assert g == pytest.approx(swapped, rel=1e-9)
     with pytest.raises(sf.DomainError):
         sf.gamma_integrated_fbm(0.3, 1)
     with pytest.raises(sf.DomainError):
@@ -169,11 +166,49 @@ def test_integrated_boundary_covariance():
         assert b[j - 1] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
-def test_integrated_block_matches_scalar():
-    H = 0.15
-    block = sf.model._gamma_integrated_block(H, 50)
-    for k in (0, 1, 2, 7, 50):
-        assert block[k] == pytest.approx(sf.gamma_integrated_fbm(H, k), rel=1e-9)
+def _dpow(x, p):
+    return abs(x) ** p if x else Decimal(0)
+
+
+def integrated_decimal_oracle(H, k):
+    """gamma_k as the fourth difference of |k|^(2H+2) / (2 (2H+1) (2H+2)),
+    in 50-digit decimal arithmetic at the binary value of H."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        H, k = Decimal(H), Decimal(k)
+        p = 2 * H + 2
+        d4 = sum(c * _dpow(k + a, p) for c, a in ((1, -2), (-4, -1), (6, 0), (-4, 1), (1, 2)))
+        return d4 / (2 * (2 * H + 1) * p)
+
+
+def boundary_decimal_oracle(H, j):
+    """Cov(x_1, x_j) from window_integral_cov_oracle's antiderivatives,
+    Cov(I_1, I_j) - Cov(I_1, I_{j-1}), in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        H, k = Decimal(H), Decimal(j - 1)
+        p1, p2 = 2 * H + 1, 2 * H + 2
+        if k == 0:
+            return 1 / p2
+        drift = _dpow(k + 1, p1) - 2 * _dpow(k, p1) + _dpow(k - 1, p1)
+        kern = _dpow(k + 1, p2) - 3 * _dpow(k, p2) + 3 * _dpow(k - 1, p2) - _dpow(k - 2, p2)
+        return drift / (2 * p1) - kern / (2 * p1 * p2)
+
+
+def test_integrated_covariances_match_decimal_oracle():
+    lags = list(range(21)) + [50, 1000, 10 ** 5]
+    js = [2, 3, 4, 5, 50, 500, 1962, 4096]
+    for H in (0.01, 0.1, 0.24):
+        gam = sf.gamma_integrated_fbm(H, np.array(lags))
+        for k, g in zip(lags, gam):
+            # the array call equals the scalar calls
+            assert sf.gamma_integrated_fbm(H, k) == pytest.approx(g, rel=1e-15)
+            want = integrated_decimal_oracle(H, k)
+            assert abs((Decimal(g) - want) / want) < Decimal("1e-11"), (H, k)
+        row = integrated_fbm_boundary_cov(H, 4096)
+        for j in js:
+            want = boundary_decimal_oracle(H, j)
+            assert abs((Decimal(row[j - 1]) - want) / want) < Decimal("1e-10"), (H, j)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +287,24 @@ def test_user_series_matches_brute_force(values, alpha, ell):
     lam = np.geomspace(1e-5, np.pi, 12)
     np.testing.assert_allclose(spec.spectral_density_x(lam), brute_series(spec, lam),
                                rtol=1e-9)
+
+
+def test_user_series_memory_is_bounded():
+    # the lag series runs over blocks of frequencies, so one 16384-point call
+    # holds two 4096 x 1023 temporaries at a time, not two 16384 x 1023 ones
+    spec = sf.user_spec(100, beta=0.25, sigma=1.0, tau=1.0, K=1,
+                        gamma_values=(2.0, 1.0, 0.7), alpha=-0.2,
+                        ell=sf.SlowlyVaryingSpec("constant", 0.5))
+    lam = np.geomspace(1e-5, np.pi, 16384)
+    tracemalloc.start()
+    try:
+        f = spec.spectral_density_x(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    blocks = [spec.spectral_density_x(lam[lo:lo + 4096]) for lo in range(0, lam.size, 4096)]
+    np.testing.assert_allclose(f, np.concatenate(blocks), rtol=1e-12)
 
 
 @pytest.mark.parametrize("H", [0.05, 0.1, 0.2])
