@@ -192,13 +192,11 @@ def closed_form_constant_C(diamond: float, alpha: float) -> float:
 def critical_fisher_log_integral(spec: ModelSpec) -> float:
     """General critical-case form n^(1-4 beta) tau^-4 int_{q_n}^1 ell^2(1/lam) dlam/lam
     with q_n = n^(-4 beta) ell^2(n^(4 beta)), by quadrature in t = log(1/lam)."""
-    scale = spec.x_cov.scale if spec.x_cov.kind == "user_sequence" else 1.0
-    ell = lambda x: scale * spec.ell(x)
     n = float(spec.n)
-    q_n = n ** (-4.0 * spec.beta) * ell(n ** (4.0 * spec.beta)) ** 2
+    q_n = n ** (-4.0 * spec.beta) * spec.amplitude(n ** (4.0 * spec.beta)) ** 2
     t_hi = math.log(1.0 / q_n)
     edges = np.linspace(0.0, t_hi, 257)
-    val = panel_integrate(lambda t: ell(np.exp(t)) ** 2, edges, nodes=16)
+    val = panel_integrate(lambda t: spec.amplitude(np.exp(t)) ** 2, edges, nodes=16)
     return n ** (1.0 - 4.0 * spec.beta) * spec.tau ** (-4.0) * val
 
 
@@ -257,16 +255,14 @@ def _closed_form_subcritical(spec: ModelSpec) -> float:
     if spec.alpha == 0.0:
         raise DomainError("subcritical closed form requires alpha != 0 for "
                           "user-specified autocovariances")
-    scale = spec.x_cov.scale
-    ell_val = scale * spec.ell(n ** (dia * spec.beta))
+    ell_val = spec.amplitude(n ** (dia * spec.beta))
     return base * ell_val ** (dia / 2.0) * closed_form_constant_C(dia, spec.alpha)
 
 
 def _closed_form_critical(spec: ModelSpec) -> float:
     n = float(spec.n)
-    scale = spec.x_cov.scale if spec.x_cov.kind == "user_sequence" else 1.0
     rho = spec.ell.rho if spec.ell.kind == "log_power" else 0.0
-    c_eff = scale * spec.ell.c
+    c_eff = spec.amplitude(math.e)  # c of amplitude = c |log x|^rho
     return (n ** (1.0 - 4.0 * spec.beta) * math.log(n) ** (2.0 * rho + 1.0)
             * spec.tau ** (-4.0) * (4.0 * spec.beta) ** (2.0 * rho + 1.0)
             / (2.0 * rho + 1.0) * c_eff ** 2)

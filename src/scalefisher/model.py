@@ -17,9 +17,11 @@ from scipy.special import gamma as gamma_fn, zeta
 
 from ._quad import QuadratureError, cos_tail_sum
 
-# cos_tail_sum needs k_start >= 800, where its Abel/EM switch max(0.05, 40/k) is 0.05
+# explicit lags of the preset kinds' series, whose gamma only approaches the
+# power-law asymptote that the analytic tail sums
 SERIES_LAGS = 1024
-# frequencies per block of the lag series: bounds its len(lam) x k0 temporaries
+# frequencies per block of the series: bounds its block x lag and block x
+# quadrature-node temporaries
 SERIES_BLOCK = 4096
 # agreement of two successive truncations of sum_gamma_squared
 SUM_SQ_RTOL = 1e-6
@@ -44,6 +46,36 @@ _THIRD_DIFF = ((1.0, 1.0), (-3.0, 0.0), (3.0, -1.0), (-1.0, -2.0))
 _FOURTH_DIFF = ((1.0, 2.0), (-4.0, 1.0), (6.0, 0.0), (-4.0, -1.0), (1.0, -2.0))
 
 
+def _moment(stencil, m: int) -> float:
+    """M_m = sum_j c_j a_j^m of a stencil ((c_j, a_j), ...)."""
+    return sum(c * a ** m for c, a in stencil)
+
+
+def _binomial_series(p: float, moment, w, step: int):
+    """w^p sum_m binom(p, m) moment(m) w^(-m) at w > 0, from the first m >= 1
+    with a nonzero moment, every ``step``-th term (2 when the odd moments
+    vanish).  Its length is fixed at the smallest w, where it converges
+    slowest: it stops at the first term below double precision there.
+    """
+    m0 = next(m for m in range(1, 400) if moment(m) != 0.0)
+    coefs, binom, total, inv_min = [], 1.0, 0.0, 1.0 / float(w.min())
+    for m in range(1, 400):
+        binom *= (p - (m - 1)) / m
+        if m < m0 or (m - m0) % step:
+            continue
+        coefs.append(binom * moment(m))
+        term = coefs[-1] * inv_min ** m
+        total += term
+        if abs(term) <= np.finfo(float).eps * abs(total):
+            break
+    v = (1.0 / w) ** step
+    series = np.full_like(w, coefs[-1])
+    for b in coefs[-2::-1]:
+        series *= v
+        series += b
+    return w ** p / w ** m0 * series
+
+
 def _power_stencil(p: float, stencil, w, switch: float):
     """sum_j c_j |w + a_j|^p at w >= 0, for a difference stencil
     ((c_j, a_j), ...) with sum_j c_j = 0.
@@ -52,8 +84,6 @@ def _power_stencil(p: float, stencil, w, switch: float):
     nearly cancel, so the binomial series w^p sum_m binom(p, m) M_m w^(-m),
     M_m = sum_j c_j a_j^m, is used (``switch`` must exceed every |a_j|).
     Symmetric stencils have no odd moments, so their series runs in 1/w^2.
-    Its length is fixed at the smallest w, where it converges slowest: it
-    stops at the first term below double precision there.
     """
     w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
@@ -66,24 +96,7 @@ def _power_stencil(p: float, stencil, w, switch: float):
     wf = w[~near]
     if wf.size:
         step = 2 if sorted(stencil) == sorted((c, -a) for c, a in stencil) else 1
-        moment = lambda m: sum(c * a ** m for c, a in stencil)
-        m0 = next(m for m in range(1, len(stencil)) if moment(m) != 0.0)
-        coefs, binom, total, inv_min = [], 1.0, 0.0, 1.0 / float(wf.min())
-        for m in range(1, 400):
-            binom *= (p - (m - 1)) / m
-            if m < m0 or (m - m0) % step:
-                continue
-            coefs.append(binom * moment(m))
-            term = coefs[-1] * inv_min ** m
-            total += term
-            if abs(term) <= np.finfo(float).eps * abs(total):
-                break
-        v = (1.0 / wf) ** step
-        series = np.full_like(wf, coefs[-1])
-        for b in coefs[-2::-1]:
-            series *= v
-            series += b
-        out[~near] = wf ** p / wf ** m0 * series
+        out[~near] = _binomial_series(p, lambda m: _moment(stencil, m), wf, step)
     return out
 
 
@@ -128,15 +141,23 @@ def integrated_fbm_boundary_cov(H: float, n: int) -> np.ndarray:
     Var x_1 = 1/(2H+2), and for k = j - 1 >= 1 the drift part
     (second difference of |k|^(2H+1)) / (2 (2H+1)) minus half of
     g2(k+1) - 3 g2(k) + 3 g2(k-1) - g2(k-2), g2 = |x|^(2H+2) / ((2H+1)(2H+2)).
+    Both parts grow like k^(2H-1) while their difference is O(k^(2H-2)), so
+    from k = 3 on they are one binomial series in 1/k, whose leading terms
+    cancel exactly: with q = 2H+1, binom(q+1, m+1) / (q+1) = binom(q, m) / (m+1)
+    puts the g2 part's moment M_(m+1) / (m+1) beside the drift's M_m.
     """
+    q = 2.0 * H + 1.0
     k = np.arange(1, n, dtype=float)
-    out = np.empty(n)
-    out[0] = 1.0 / (2.0 * H + 2.0)
-    out[1:] = (_power_stencil(2 * H + 1, _SECOND_DIFF, k, _INTEGRATED_SWITCH)
-               / (2.0 * (2 * H + 1))
-               - _power_stencil(2 * H + 2, _THIRD_DIFF, k, _INTEGRATED_SWITCH)
-               / (2.0 * (2 * H + 1) * (2 * H + 2)))
-    return out
+    near = k < _INTEGRATED_SWITCH
+    row = np.empty_like(k)
+    row[near] = (_power_stencil(q, _SECOND_DIFF, k[near], _INTEGRATED_SWITCH) / (2.0 * q)
+                 - _power_stencil(q + 1, _THIRD_DIFF, k[near], _INTEGRATED_SWITCH)
+                 / (2.0 * q * (q + 1)))
+    if not near.all():
+        moment = lambda m: (_moment(_SECOND_DIFF, m)
+                            - _moment(_THIRD_DIFF, m + 1) / (m + 1)) / (2.0 * q)
+        row[~near] = _binomial_series(q, moment, k[~near], 1)
+    return np.concatenate([[1.0 / (2.0 * H + 2.0)], row])
 
 
 # ---------------------------------------------------------------------------
@@ -292,33 +313,42 @@ class ModelSpec:
 
     def spectral_density_x(self, lam):
         """Signal spectral density f = sum_k gamma_k cos(k lam) as a series:
-        the lags below k0 = max(len(values), SERIES_LAGS) explicitly, over
-        blocks of SERIES_BLOCK frequencies, the rest in closed form from the
-        power-law asymptote of gamma.  Serves user sequences, and cross-checks
-        the folded form for fgn."""
+        the lags below k0 explicitly, the rest in closed form from the
+        power-law asymptote of gamma, over blocks of SERIES_BLOCK frequencies.
+        User sequences are the power law from k0 = max(len(values), 2) on, so
+        the tail is exact there; for the presets (k0 = SERIES_LAGS) the series
+        cross-checks the folded form."""
         lam = self._check_lambda(lam)
-        k0 = max(len(self.x_cov.values), SERIES_LAGS)
+        user = self.x_cov.kind == "user_sequence"
+        k0 = max(len(self.x_cov.values), 2) if user else SERIES_LAGS
         g = self.gamma_array(k0 - 1)
         flat, lags = lam.ravel(), np.arange(1, k0)
         out = np.empty_like(flat)
         for lo in range(0, flat.size, SERIES_BLOCK):
-            blk = slice(lo, lo + SERIES_BLOCK)
-            out[blk] = g[0] + 2.0 * (np.cos(np.outer(flat[blk], lags)) @ g[1:])
-        out += 2.0 * self._gamma_tail_cos(flat, k0)
+            blk = flat[lo:lo + SERIES_BLOCK]
+            out[lo:lo + SERIES_BLOCK] = g[0] + 2.0 * (
+                np.cos(np.outer(blk, lags)) @ g[1:] + self._gamma_tail_cos(blk, k0))
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+
+    def amplitude(self, x):
+        """Slowly varying amplitude of the power law,
+        gamma_k ~ sign(-alpha) k^(-2 alpha - 1) amplitude(k).
+
+        A preset's ell already carries ``x_cov.scale``; a user sequence's does
+        not (gamma scales its extension afterwards), so it is applied here.
+        For complex x with Re x > 1 this is the analytic continuation
+        c (log x)^rho of c |log x|^rho.
+        """
+        scale = self.x_cov.scale if self.x_cov.kind == "user_sequence" else 1.0
+        if np.iscomplexobj(x):
+            rho = self.ell.rho if self.ell.kind == "log_power" else 0.0
+            return scale * self.ell.c * np.log(x) ** rho
+        return scale * self.ell(x)
 
     def _gamma_tail_cos(self, lam, k_start: int):
         """sum_{k >= k_start} gamma_k cos(k lam) from the asymptote of gamma."""
-        s = float(np.sign(-self.alpha))
-        if s == 0.0:
-            return np.zeros_like(lam)
-        p = 2.0 * self.alpha + 1.0
-        # preset ell amplitudes already carry the gamma scale; the user-sequence
-        # extension in gamma() applies x_cov.scale on top of ell
-        scale = self.x_cov.scale if self.x_cov.kind == "user_sequence" else 1.0
-        if self.ell.kind == "constant":
-            return s * cos_tail_sum(p, lam, k_start, ell_const=scale * self.ell.c)
-        return s * scale * cos_tail_sum(p, lam, k_start, ell_fun=self.ell)
+        return np.sign(-self.alpha) * cos_tail_sum(2.0 * self.alpha + 1.0, lam, k_start,
+                                                   self.amplitude)
 
     def spectral_density_x_aliased(self, lam):
         """Exact preset spectral density via the folded power law, the lattice

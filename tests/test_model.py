@@ -1,12 +1,13 @@
 """Model layer: autocovariance kernels against independent oracles,
 spectral-density cross-validation, and spec validation."""
 
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, zeta
 
 import scalefisher as sf
 from scalefisher._quad import gauss_nodes
@@ -208,7 +209,7 @@ def test_integrated_covariances_match_decimal_oracle():
         row = integrated_fbm_boundary_cov(H, 4096)
         for j in js:
             want = boundary_decimal_oracle(H, j)
-            assert abs((Decimal(row[j - 1]) - want) / want) < Decimal("1e-10"), (H, j)
+            assert abs((Decimal(row[j - 1]) - want) / want) < Decimal("1e-11"), (H, j)
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +280,58 @@ def brute_series(spec, lam, kmax=1 << 21, chunk=1 << 16):
     # 1500 given lags off the asymptote: all of them must enter the sum
     (tuple([4.0] + [0.5 * k ** -1.2 * (1 + 0.5 * np.cos(k)) for k in range(1, 1500)]),
      0.2, 0.05),
+    pytest.param((2.0, 1.0, 0.7), -0.2, sf.SlowlyVaryingSpec("log_power", 0.5, 0.5),
+                 id="log_power-rho0.5"),
+    pytest.param((1.0, 0.3, -0.1), 0.2, sf.SlowlyVaryingSpec("log_power", 0.05, -0.3),
+                 id="log_power-rho-0.3"),
 ])
 def test_user_series_matches_brute_force(values, alpha, ell):
+    if not isinstance(ell, sf.SlowlyVaryingSpec):
+        ell = sf.SlowlyVaryingSpec("constant", ell)
     spec = sf.user_spec(100, beta=0.25, sigma=1.0, tau=1.0, K=1,
-                        gamma_values=values, alpha=alpha,
-                        ell=sf.SlowlyVaryingSpec("constant", ell))
+                        gamma_values=values, alpha=alpha, ell=ell)
     lam = np.geomspace(1e-5, np.pi, 12)
     np.testing.assert_allclose(spec.spectral_density_x(lam), brute_series(spec, lam),
                                rtol=1e-9)
 
 
+def polylog_tail_oracle(p, lam, k0, terms=40):
+    """Re Li_p(e^(i lam)) - sum_{k < k0} k^(-p) cos(k lam), the first term by
+    the expansion Gamma(1-p) sin(pi p/2) lam^(p-1)
+    + sum_j (-1)^j zeta(p-2j) lam^(2j) / (2j)!  (0 < lam < 2 pi)."""
+    out = gamma_fn(1 - p) * np.sin(np.pi * p / 2) * lam ** (p - 1)
+    for j in range(terms):
+        out = out + (-1) ** j * zeta(p - 2 * j) * lam ** (2 * j) / math.factorial(2 * j)
+    ks = np.arange(1, k0)
+    return out - np.cos(np.outer(lam, ks)) @ ks ** -p
+
+
+@pytest.mark.parametrize("p", [0.05, 0.6, 1.4, 1.95])
+def test_power_law_tail_matches_polylog_oracle(p):
+    # the oracle itself is good to 1.7e-13 against 40-digit mpmath for k0 <= 8
+    alpha = (p - 1) / 2
+    lam = np.geomspace(1e-10, np.pi, 41)
+    spec = sf.user_spec(100, beta=0.25, sigma=1.0, tau=1.0, K=1, gamma_values=(1.0,),
+                        alpha=alpha, ell=sf.SlowlyVaryingSpec("constant", 1.0))
+    for k0 in (2, 3, 8):
+        np.testing.assert_allclose(spec._gamma_tail_cos(lam, k0),
+                                   np.sign(-alpha) * polylog_tail_oracle(p, lam, k0),
+                                   rtol=1e-11)
+    # log_power: the tail from lag 2 is the lags 2..4095 plus the tail from 4096,
+    # to 1e-13 of the term scale (the summed lag magnitudes plus the tail's own)
+    for rho in (0.5, -0.3):
+        spec = sf.user_spec(100, beta=0.25, sigma=1.0, tau=1.0, K=1, gamma_values=(1.0,),
+                            alpha=alpha, ell=sf.SlowlyVaryingSpec("log_power", 0.7, rho))
+        ks = np.arange(2, 4096)
+        g = spec.gamma(ks)
+        whole = spec._gamma_tail_cos(lam, 2)
+        split = np.cos(np.outer(lam, ks)) @ g + spec._gamma_tail_cos(lam, 4096)
+        assert np.all(np.abs(whole - split) < 1e-13 * (np.sum(np.abs(g)) + np.abs(whole)))
+
+
 def test_user_series_memory_is_bounded():
-    # the lag series runs over blocks of frequencies, so one 16384-point call
-    # holds two 4096 x 1023 temporaries at a time, not two 16384 x 1023 ones
+    # the series runs over blocks of frequencies, so one 16384-point call holds
+    # one block's 4096 x (quadrature nodes) tail matrices at a time
     spec = sf.user_spec(100, beta=0.25, sigma=1.0, tau=1.0, K=1,
                         gamma_values=(2.0, 1.0, 0.7), alpha=-0.2,
                         ell=sf.SlowlyVaryingSpec("constant", 0.5))
