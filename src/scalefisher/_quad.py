@@ -24,29 +24,32 @@ def gauss_nodes(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
-def _panel_nodes(edges, nodes: int = 16):
-    """Gauss nodes of each panel, shape (panels, nodes), and the half-widths."""
+NODES = 16  # Gauss-Legendre nodes per panel, in every panel rule
+
+
+def _panel_nodes(edges):
+    """Gauss nodes of each panel, shape (panels, NODES), and the half-widths."""
     edges = np.asarray(edges, dtype=float)
-    x, _ = gauss_nodes(nodes)
+    x, _ = gauss_nodes(NODES)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + half[:, None] * x[None, :], half
 
 
-def panel_integrate(fun, edges, nodes: int = 16) -> float:
+def panel_integrate(fun, edges) -> float:
     """Integrate ``fun`` over consecutive panels given by ``edges``.
 
     All nodes are evaluated in a single vectorized call to ``fun``.
     """
-    pts, half = _panel_nodes(edges, nodes)
+    pts, half = _panel_nodes(edges)
     vals = fun(pts.ravel()).reshape(pts.shape)
-    return float(np.sum((vals @ gauss_nodes(nodes)[1]) * half))
+    return float(np.sum((vals @ gauss_nodes(NODES)[1]) * half))
 
 
 def _flat_rule(edges):
-    """Nodes and weights of 16-point Gauss panels on ``edges``, flattened."""
+    """Nodes and weights of the Gauss panels on ``edges``, flattened."""
     pts, half = _panel_nodes(edges)
-    return pts.ravel(), (half[:, None] * gauss_nodes(16)[1][None, :]).ravel()
+    return pts.ravel(), (half[:, None] * gauss_nodes(NODES)[1][None, :]).ravel()
 
 
 # e^(-lam y) is below 5e-18 past lam y = _DECAY_REACH, so the first integral

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,6 +20,9 @@ from .estimator import InsufficientInformation, estimate
 from .fisher import fisher_report, rate_scan
 from .linalg import NotPositiveDefiniteError
 from .model import (
+    CONVENTIONS,
+    DELTA_DELTAT,
+    PRESET_IDS,
     DomainError,
     ModelSpec,
     SlowlyVaryingSpec,
@@ -63,9 +67,19 @@ def _emit(args, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _number(flag: str, text: str, kind=float):
+    """kind(text) if that is a finite number, else a DomainError naming the flag."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"{flag}: {text!r} is not a finite number")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser, require_n: bool = True) -> None:
-    p.add_argument("--preset", choices=("fbm-wn", "large-error", "integrated-fbm", "user"),
-                   default="fbm-wn")
+    p.add_argument("--preset", choices=PRESET_IDS, default="fbm-wn")
     p.add_argument("--n", type=int, required=require_n, help="sample size")
     p.add_argument("--H", type=float, help="Hurst index (fbm-wn, large-error, integrated-fbm)")
     p.add_argument("--sigma", type=float, default=1.0)
@@ -75,25 +89,39 @@ def _add_model_args(p: argparse.ArgumentParser, require_n: bool = True) -> None:
     p.add_argument("--alpha", type=float, help="long-memory index (user preset)")
     p.add_argument("--gamma", type=str,
                    help="comma-separated leading autocovariances (user preset)")
-    p.add_argument("--ell", type=str, default="constant:1",
-                   help="slowly varying part, constant:C or logpow:C:RHO (user preset)")
-    p.add_argument("--convention", choices=("delta_deltaT", "deltaT_delta"),
-                   default="delta_deltaT")
-    p.add_argument("--normalize", action="store_true",
-                   help="rescale gamma so the squared autocovariances sum to one "
-                        "(large-error preset)")
+    p.add_argument("--ell", type=str,
+                   help="slowly varying part, constant:C or logpow:C:RHO "
+                        "(user preset; default constant:1)")
+    p.add_argument("--convention", choices=CONVENTIONS,
+                   help=f"noise convention (user preset; default {DELTA_DELTAT})")
+
+
+# the model flags each preset reads besides --n, --sigma and --tau; any other
+# one given is rejected rather than silently ignored
+_PRESET_FLAGS = {
+    "fbm-wn": ("H",),
+    "large-error": ("H", "beta"),
+    "integrated-fbm": ("H",),
+    "user": ("beta", "K", "alpha", "gamma", "ell", "convention"),
+}
+_MODEL_FLAGS = ("H", "beta", "K", "alpha", "gamma", "ell", "convention")
 
 
 def _parse_ell(text: str) -> SlowlyVaryingSpec:
     parts = text.split(":")
     if parts[0] == "constant" and len(parts) == 2:
-        return SlowlyVaryingSpec("constant", float(parts[1]))
+        return SlowlyVaryingSpec("constant", _number("--ell", parts[1]))
     if parts[0] == "logpow" and len(parts) == 3:
-        return SlowlyVaryingSpec("log_power", float(parts[1]), float(parts[2]))
-    raise DomainError(f"cannot parse slowly varying spec {text!r}")
+        return SlowlyVaryingSpec("log_power", _number("--ell", parts[1]),
+                                 _number("--ell", parts[2]))
+    raise DomainError(f"--ell: cannot parse slowly varying spec {text!r}")
 
 
 def build_spec(args) -> ModelSpec:
+    unread = [f"--{k}" for k in _MODEL_FLAGS
+              if getattr(args, k) is not None and k not in _PRESET_FLAGS[args.preset]]
+    if unread:
+        raise DomainError(f"{args.preset} preset does not read {', '.join(unread)}")
     if args.preset == "fbm-wn":
         if args.H is None:
             raise DomainError("fbm-wn preset requires --H")
@@ -101,9 +129,7 @@ def build_spec(args) -> ModelSpec:
     if args.preset == "large-error":
         if args.H is None or args.beta is None:
             raise DomainError("large-error preset requires --H and --beta")
-        normalize = True if args.normalize else None
-        return large_error_spec(args.n, args.H, args.beta, args.sigma, args.tau,
-                                normalize=normalize)
+        return large_error_spec(args.n, args.H, args.beta, args.sigma, args.tau)
     if args.preset == "integrated-fbm":
         if args.H is None:
             raise DomainError("integrated-fbm preset requires --H")
@@ -113,25 +139,29 @@ def build_spec(args) -> ModelSpec:
     missing = [k for k, v in required.items() if v is None]
     if missing:
         raise DomainError(f"user preset requires {', '.join(missing)}")
-    gamma_vals = [float(v) for v in args.gamma.split(",") if v.strip()]
+    gamma_vals = [_number("--gamma", v) for v in args.gamma.split(",") if v.strip()]
     return user_spec(args.n, args.beta, args.sigma, args.tau, args.K,
-                     gamma_vals, args.alpha, _parse_ell(args.ell),
-                     noise_convention=args.convention)
+                     gamma_vals, args.alpha,
+                     _parse_ell("constant:1" if args.ell is None else args.ell),
+                     noise_convention=args.convention or DELTA_DELTAT)
 
 
 def _parse_n_grid(text: str) -> list[int]:
     """Grid syntax: 'n1,n2,...' or 'lo:hi:logsteps=K'."""
     if ":" in text:
-        lo_s, hi_s, steps_s = text.split(":")
-        if not steps_s.startswith("logsteps="):
-            raise DomainError(f"cannot parse n-grid {text!r}")
-        lo, hi = float(lo_s), float(hi_s)
-        steps = int(steps_s.split("=", 1)[1])
+        parts = text.split(":")
+        if len(parts) != 3 or not parts[2].startswith("logsteps="):
+            raise DomainError(f"--n-grid: cannot parse {text!r}")
+        lo, hi = _number("--n-grid", parts[0]), _number("--n-grid", parts[1])
+        steps = _number("--n-grid", parts[2].split("=", 1)[1], int)
         if steps < 2 or lo <= 0 or hi <= lo:
-            raise DomainError(f"invalid n-grid bounds in {text!r}")
+            raise DomainError(f"--n-grid: invalid bounds in {text!r}")
         grid = np.unique(np.geomspace(lo, hi, steps).round().astype(int))
         return [int(v) for v in grid]
-    return [int(float(v)) for v in text.split(",") if v.strip()]
+    grid = [int(_number("--n-grid", v)) for v in text.split(",") if v.strip()]
+    if not grid:
+        raise DomainError(f"--n-grid: {text!r} lists no sample size")
+    return grid
 
 
 def _read_data(path: str, n: int) -> np.ndarray:

@@ -107,8 +107,8 @@ class EstimateResult:
             "lam_min": self.lam_min,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _weighted_sum(z2: np.ndarray, w: np.ndarray, u: float,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -36,9 +36,10 @@ def information_sum(u: float, lam: np.ndarray, n: int, beta: float) -> float:
     return 0.5 * float(np.sum((w / (u * w + 1.0)) ** 2))
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def whitened_system(spec: ModelSpec) -> WhitenedSystem:
-    """Whitening of (Cov(x), Cov(y)) for a model spec, cached per spec."""
+    """Whitening of (Cov(x), Cov(y)) for a model spec.  Only the last spec's
+    two n x n arrays are cached: callers work through one spec at a time."""
     cov_x = spec.cov_x()
     cov_y = diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention)
     return whiten(cov_x, cov_y)
@@ -78,7 +79,7 @@ def _panel_sum(ratio_sq, anchor: float, m: int) -> float:
     edges = [np.geomspace(lam_lo, anchor, m + 1)]
     if anchor < np.pi:
         edges.append(np.geomspace(anchor, np.pi, m + 1)[1:])
-    acc = panel_integrate(ratio_sq, np.concatenate(edges), nodes=16)
+    acc = panel_integrate(ratio_sq, np.concatenate(edges))
     return acc + float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
 
 
@@ -196,7 +197,7 @@ def critical_fisher_log_integral(spec: ModelSpec) -> float:
     q_n = n ** (-4.0 * spec.beta) * spec.amplitude(n ** (4.0 * spec.beta)) ** 2
     t_hi = math.log(1.0 / q_n)
     edges = np.linspace(0.0, t_hi, 257)
-    val = panel_integrate(lambda t: spec.amplitude(np.exp(t)) ** 2, edges, nodes=16)
+    val = panel_integrate(lambda t: spec.amplitude(np.exp(t)) ** 2, edges)
     return n ** (1.0 - 4.0 * spec.beta) * spec.tau ** (-4.0) * val
 
 
@@ -226,8 +227,8 @@ class FisherReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _condition_warnings(spec: ModelSpec) -> list[str]:
@@ -304,14 +305,10 @@ def fisher_report(spec: ModelSpec,
                   methods=("exact", "integral", "closed-form")) -> FisherReport:
     """Combined report; ``methods`` selects whether the exact and integral
     routes run.  The closed form always runs: it carries the regime."""
-    report = fisher_closed_form(spec)
-    exact = fisher_exact(spec) if "exact" in methods else None
-    integral = fisher_integral(spec) if "integral" in methods else None
-    return FisherReport(
-        n=spec.n, exact=exact, integral=integral, closed_form=report.closed_form,
-        diamond=report.diamond, regime=report.regime,
-        rate_exponent=report.rate_exponent, log_factor=report.log_factor,
-        warnings=report.warnings)
+    return replace(
+        fisher_closed_form(spec),
+        exact=fisher_exact(spec) if "exact" in methods else None,
+        integral=fisher_integral(spec) if "integral" in methods else None)
 
 
 # ---------------------------------------------------------------------------

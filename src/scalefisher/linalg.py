@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular, toeplitz as _sp_toeplitz
 from scipy.linalg import LinAlgError
 
-from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError
+from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError, noise_symbol
 
 NEG_EIG_TOL = 1e-8
 
@@ -49,13 +49,14 @@ def dct_nodes(n: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n + 1.0)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def dct_basis(n: int) -> np.ndarray:
     """Orthonormal symmetric cosine basis C_ij = 2/sqrt(2n+1) cos((i-1/2) u_j).
 
     C diagonalizes D D^t exactly; the row-reversed basis E C diagonalizes
     D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only, because the
-    array is shared by every caller through the cache.
+    array is shared by every caller through the cache, which keeps only the
+    last n: callers work at one n at a time.
     """
     u = dct_nodes(n)
     i = np.arange(1, n + 1)[:, None]
@@ -65,9 +66,8 @@ def dct_basis(n: int) -> np.ndarray:
 
 
 def noise_eigenvalues(n: int, K: int, tau: float) -> np.ndarray:
-    """Eigenvalues 4^K tau^2 sin^(2K)(u_i / 2) of the noise covariance."""
-    u = dct_nodes(n)
-    return 4.0 ** K * tau ** 2 * np.sin(u / 2.0) ** (2 * K)
+    """Eigenvalues of the noise covariance: its symbol at the nodes u_i."""
+    return noise_symbol(dct_nodes(n), K, tau)
 
 
 def dct_diagonalize_noise(n: int, K: int, tau: float,

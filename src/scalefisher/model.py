@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn, zeta
 
 from ._quad import QuadratureError, cos_tail_sum
@@ -33,6 +34,12 @@ CONVENTIONS = (DELTA_DELTAT, DELTAT_DELTA)
 
 class DomainError(ValueError):
     """A parameter lies outside its mathematically valid domain."""
+
+
+def noise_symbol(lam, K: int, tau: float):
+    """Symbol 4^K tau^2 sin^(2K)(lam/2) of the noise covariance tau^2 (D D^t)^K:
+    its spectral density, and its eigenvalues at the cosine nodes."""
+    return 4.0 ** K * tau ** 2 * np.sin(lam / 2.0) ** (2 * K)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +195,6 @@ class AutocovarianceSpec:
         if self.kind == "user_sequence" and len(self.values) == 0:
             raise DomainError("user_sequence requires at least gamma_0")
 
-    @property
-    def default_alpha(self) -> float | None:
-        if self.hurst is not None:
-            return 0.5 - self.hurst
-        return None
-
 
 @dataclass(frozen=True)
 class SlowlyVaryingSpec:
@@ -290,15 +291,13 @@ class ModelSpec:
     def gamma_array(self, kmax: int) -> np.ndarray:
         return np.asarray(self.gamma(np.arange(kmax + 1)))
 
-    def cov_x(self, n: int | None = None) -> np.ndarray:
+    def cov_x(self) -> np.ndarray:
         """Dense covariance of (x_1 .. x_n); Toeplitz except for the
         nonstationary first row/column of the integrated-motion preset."""
-        from scipy.linalg import toeplitz
-        n = self.n if n is None else n
-        g = self.gamma_array(n - 1) if n > 1 else np.array([self.gamma(0)])
+        g = self.gamma_array(self.n - 1) if self.n > 1 else np.array([self.gamma(0)])
         cov = toeplitz(g)
         if self.x_cov.kind == "integrated_fbm_increment":
-            b = self.x_cov.scale * integrated_fbm_boundary_cov(self.x_cov.hurst, n)
+            b = self.x_cov.scale * integrated_fbm_boundary_cov(self.x_cov.hurst, self.n)
             cov[0, :] = b
             cov[:, 0] = b
         return cov
@@ -377,8 +376,7 @@ class ModelSpec:
         return self.spectral_density_x_aliased(lam)
 
     def noise_spectral_density(self, lam):
-        lam = self._check_lambda(lam)
-        return 4.0 ** self.K * self.tau ** 2 * np.sin(lam / 2.0) ** (2 * self.K)
+        return noise_symbol(self._check_lambda(lam), self.K, self.tau)
 
     def spectral_density_z(self, lam):
         """h_n = sigma^2 n^(-2 beta) f + 4^K tau^2 sin^(2K)(lam/2)."""

@@ -22,10 +22,11 @@ from .model import DomainError, ModelSpec
 ESTIMATORS = ("oracle", "efficient")
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def _signal_chol(spec: ModelSpec) -> np.ndarray:
     """Lower Cholesky factor of Cov(x); exact dense sampling baseline.
-    Read-only, because the factor is shared through the cache."""
+    Read-only, because the factor is shared through the cache, which keeps
+    only the last spec's: callers sample one spec at a time."""
     try:
         factor = cholesky(spec.cov_x(), lower=True)
     except LinAlgError as exc:
@@ -75,8 +76,8 @@ class McStudy:
     def values(self) -> np.ndarray:
         return np.array([e.sigma2_hat for e in self.estimates])
 
-    def to_dict(self, include_estimates: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "preset": self.spec.preset,
             "n": self.spec.n,
             "sigma": self.spec.sigma,
@@ -90,12 +91,9 @@ class McStudy:
             "fisher_exact": self.fisher_exact,
             "normalized": self.normalized,
         }
-        if include_estimates:
-            out["estimates"] = [e.to_dict() for e in self.estimates]
-        return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient",

@@ -150,6 +150,35 @@ def test_rate_scan_bad_grid(capsys):
     assert code == 2
 
 
+USER_MODEL = ("--preset", "user", "--beta", "0.25", "--K", "0", "--alpha", "-0.25")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("fisher", *USER_MODEL, "--n", "100", "--gamma", "1,x"), "--gamma"),
+    (("fisher", *USER_MODEL, "--n", "100", "--gamma", "1", "--ell", "constant:abc"),
+     "--ell"),
+    (("rate-scan", "--H", "0.5", "--n-grid", "1e4:1e6:logsteps=x"), "--n-grid"),
+    (("rate-scan", "--H", "0.5", "--n-grid", ","), "--n-grid"),
+])
+def test_malformed_number_exit_code(capsys, argv, flag):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert flag in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--preset", "fbm-wn", "--H", "0.5", "--convention", "deltaT_delta"), "--convention"),
+    (("--preset", "fbm-wn", "--H", "0.5", "--beta", "0.5"), "--beta"),
+    (("--preset", "large-error", "--H", "0.9", "--beta", "0.3", "--K", "1"), "--K"),
+    (("--preset", "integrated-fbm", "--H", "0.1", "--ell", "constant:1"), "--ell"),
+    ((*USER_MODEL, "--gamma", "1", "--H", "0.5"), "--H"),
+])
+def test_preset_rejects_flags_it_does_not_read(capsys, argv, flag):
+    code, _, err = run_cli(capsys, "simulate", *argv, "--n", "16", "--seed", "1")
+    assert code == 2
+    assert flag in err
+
+
 def test_user_preset_requires_flags(capsys):
     code, _, err = run_cli(capsys, "fisher", "--preset", "user", "--n", "100")
     assert code == 2

@@ -35,11 +35,14 @@ def test_full_covariance_small_n():
     assert max_se_violation(emp, target, 100_000) <= 5.0
 
 
-def test_covariance_other_convention():
-    spec = replace(sf.fbm_wn_spec(48, 0.4, tau=1.1), sigma=0.0,
-                   noise_convention="deltaT_delta")
+@pytest.mark.parametrize("K", [1, 2])
+def test_covariance_other_convention(K):
+    # the reversed noise convention at both difference orders of the presets
+    base = sf.fbm_wn_spec(48, 0.4, tau=1.1) if K == 1 \
+        else sf.integrated_fbm_spec(48, 0.1, tau=1.1)
+    spec = replace(base, sigma=0.0, noise_convention="deltaT_delta")
     emp = empirical_cov(spec, 10_000, seed=5)
-    target = sf.diff_cov(48, 1, 1.1, "deltaT_delta")
+    target = sf.diff_cov(48, K, 1.1, "deltaT_delta")
     assert max_se_violation(emp, target, 10_000) <= 5.0
 
 
