@@ -26,6 +26,7 @@ from .fisher import (
 from .linalg import (
     NotPositiveDefiniteError,
     WhitenedSystem,
+    cosine_transform,
     dct_basis,
     dct_diagonalize_noise,
     dct_nodes,

@@ -255,9 +255,10 @@ def cmd_mc_study(args) -> int:
 
 
 def cmd_rate_scan(args) -> int:
+    if args.n is not None:
+        raise DomainError("rate-scan does not read --n; give the sizes with --n-grid")
     grid = _parse_n_grid(args.n_grid)
-    if args.n is None:
-        args.n = grid[0]
+    args.n = grid[0]  # the spec needs some n; rate_scan replaces it per grid value
     spec = build_spec(args)
     scan = rate_scan(spec, grid)
     lines = ["n,fisher_integral,fisher_closed_form"]

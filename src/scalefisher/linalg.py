@@ -1,12 +1,11 @@
 """Structured matrices and transforms: Toeplitz forms, difference-operator
-covariances, the half-shifted cosine basis that diagonalizes them exactly,
-and the whitening transform behind the eigenvalue form of the Fisher
-information."""
+covariances, the half-shifted cosine basis that diagonalizes them exactly
+(dense, and applied by FFT), and the whitening transform behind the
+eigenvalue form of the Fisher information."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, toeplitz as _sp_toeplitz
@@ -49,20 +48,35 @@ def dct_nodes(n: int) -> np.ndarray:
     return np.pi * (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n + 1.0)
 
 
-@lru_cache(maxsize=1)
 def dct_basis(n: int) -> np.ndarray:
     """Orthonormal symmetric cosine basis C_ij = 2/sqrt(2n+1) cos((i-1/2) u_j).
 
     C diagonalizes D D^t exactly; the row-reversed basis E C diagonalizes
-    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only, because the
-    array is shared by every caller through the cache, which keeps only the
-    last n: callers work at one n at a time.
+    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only; the dense
+    oracle for ``cosine_transform``, which applies C without forming it.
     """
     u = dct_nodes(n)
     i = np.arange(1, n + 1)[:, None]
     basis = 2.0 / np.sqrt(2.0 * n + 1.0) * np.cos((i - 0.5) * u[None, :])
     basis.flags.writeable = False
     return basis
+
+
+def cosine_transform(v) -> np.ndarray:
+    """dct_basis(n) @ v, which is also C^t v since C is symmetric, by one
+    complex FFT of length N = 2n + 1 in O(n log n).
+
+    With p, q = 0..n-1 the entry C_pq is 2/sqrt(N) cos(pi (2p+1)(2q+1) / (2N)),
+    and (2p+1)(2q+1) / (2N) = 2pq/N + q/N + (2p+1)/(2N): pre-twiddle v_q by
+    exp(i pi q/N), take the unnormalised inverse DFT of length N, post-twiddle
+    by exp(i pi (2p+1)/(2N)) and keep the real part."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    big_n = 2 * n + 1
+    twiddle = np.exp(1j * np.pi / big_n * np.arange(n))
+    w = np.fft.ifft(v * twiddle, n=big_n, norm="forward")[:n]
+    post = twiddle * np.exp(0.5j * np.pi / big_n)
+    return 2.0 / np.sqrt(big_n) * (w * post).real
 
 
 def noise_eigenvalues(n: int, K: int, tau: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exact sampling of the observation model and batch efficiency studies.
 
+Each draw costs one triangular product with the Cholesky factor of the
+signal covariance and one cosine transform by FFT for the noise.
 Replicate streams are counter-based (Philox keyed by (seed, replicate)), so
 a replicate's draw is bit-identical whether generated alone, in a different
 batch, or on a different worker count."""
@@ -13,10 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky, LinAlgError
+from scipy.linalg.blas import dtrmv
 
 from .estimator import EstimateResult, estimate, oracle_estimate
 from .fisher import fisher_exact, whitened_system
-from .linalg import NotPositiveDefiniteError, dct_basis, dct_nodes, DELTAT_DELTA
+from .linalg import NotPositiveDefiniteError, cosine_transform, dct_nodes, DELTAT_DELTA
 from .model import DomainError, ModelSpec
 
 ESTIMATORS = ("oracle", "efficient")
@@ -24,11 +27,12 @@ ESTIMATORS = ("oracle", "efficient")
 
 @lru_cache(maxsize=1)
 def _signal_chol(spec: ModelSpec) -> np.ndarray:
-    """Lower Cholesky factor of Cov(x); exact dense sampling baseline.
-    Read-only, because the factor is shared through the cache, which keeps
-    only the last spec's: callers sample one spec at a time."""
+    """Lower Cholesky factor of Cov(x), Fortran-ordered so that ``dtrmv``
+    reads it in place.  Read-only, because the factor is shared through the
+    cache, which keeps only the last spec's: callers sample one spec at a
+    time."""
     try:
-        factor = cholesky(spec.cov_x(), lower=True)
+        factor = np.asfortranarray(cholesky(spec.cov_x(), lower=True))
     except LinAlgError as exc:
         raise NotPositiveDefiniteError("signal covariance is not positive definite") from exc
     factor.flags.writeable = False
@@ -44,17 +48,19 @@ def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
     """One exact draw of the observation vector.
 
-    Signal: dense Cholesky of Cov(x).  Noise: synthesized in the cosine
-    eigenbasis where its covariance is exactly diagonal (index-reversed
-    basis for the D^t D convention).
+    Signal: L xi, with L the lower Cholesky factor of Cov(x), by a BLAS
+    triangular product that reads only L's lower half.  Noise: C diag(d)
+    xi_noise, synthesized in the cosine eigenbasis C where its covariance is
+    exactly diagonal (index-reversed for the D^t D convention), with C
+    applied by ``cosine_transform``.
     """
     rng = _rep_rng(seed, rep_index)
     xi = rng.standard_normal(spec.n)
     xi_noise = rng.standard_normal(spec.n)
-    x = _signal_chol(spec) @ xi
+    x = dtrmv(_signal_chol(spec), xi, lower=1)
     u = dct_nodes(spec.n)
     d = 2.0 ** spec.K * spec.tau * np.sin(u / 2.0) ** spec.K
-    y = dct_basis(spec.n) @ (d * xi_noise)
+    y = cosine_transform(d * xi_noise)
     if spec.noise_convention == DELTAT_DELTA:
         y = y[::-1]
     return spec.sigma * float(spec.n) ** (-spec.beta) * x + y

@@ -150,6 +150,14 @@ def test_rate_scan_bad_grid(capsys):
     assert code == 2
 
 
+def test_rate_scan_rejects_n(capsys):
+    # every grid value replaces n, so a given --n would be silently ignored
+    code, out, err = run_cli(capsys, "rate-scan", "--preset", "fbm-wn", "--H", "0.5",
+                             "--n", "20000", "--n-grid", "1e4:1e6:logsteps=3")
+    assert code == 2
+    assert "--n" in err and "--n-grid" in err and not out
+
+
 USER_MODEL = ("--preset", "user", "--beta", "0.25", "--K", "0", "--alpha", "-0.25")
 
 

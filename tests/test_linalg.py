@@ -77,6 +77,16 @@ def test_dct_orthonormal_and_symmetric(n):
     assert np.abs(c - c.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257, 2048])
+def test_cosine_transform_matches_dense_basis(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    norm = np.linalg.norm(v)
+    got = sf.cosine_transform(v)
+    assert np.abs(got - sf.dct_basis(n) @ v).max() <= 1e-11 * norm
+    # C is symmetric and orthogonal, so applying it twice is the identity
+    assert np.abs(sf.cosine_transform(got) - v).max() <= 1e-13 * norm
+
+
 def test_dct_single_point():
     eig, basis = sf.dct_diagonalize_noise(1, 1, 1.0, "deltaT_delta")
     assert eig[0] == pytest.approx(4 * np.sin(np.pi / 6) ** 2, abs=1e-15)

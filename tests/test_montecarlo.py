@@ -59,6 +59,30 @@ def test_sampler_rejects_nonpositive_tau():
         sf.fbm_wn_spec(16, 0.5, tau=0.0)
 
 
+@pytest.mark.parametrize("make_spec", [
+    lambda: sf.fbm_wn_spec(257, 0.3, sigma=1.4, tau=0.7),
+    lambda: replace(sf.fbm_wn_spec(200, 0.6), noise_convention="deltaT_delta"),
+    lambda: sf.integrated_fbm_spec(128, 0.1, tau=1.3),
+    lambda: sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
+                         sf.SlowlyVaryingSpec("constant", 0.1)),
+], ids=["fbm-wn", "fbm-wn-deltaT_delta", "integrated-fbm", "user-K0"])
+def test_sample_z_matches_dense_reference(make_spec):
+    # sigma n^-beta L xi + C diag(d) xi_noise with dense products, from the
+    # same replicate stream: the fast sampler moves draws only by rounding
+    spec = make_spec()
+    factor = sf.montecarlo._signal_chol(spec)
+    assert factor.flags.f_contiguous and not factor.flags.writeable
+    rng = sf.montecarlo._rep_rng(31, 4)
+    xi, xi_noise = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
+    d = 2.0 ** spec.K * spec.tau * np.sin(sf.dct_nodes(spec.n) / 2.0) ** spec.K
+    y = sf.dct_basis(spec.n) @ (d * xi_noise)
+    if spec.noise_convention == "deltaT_delta":
+        y = y[::-1]
+    expect = spec.sigma * float(spec.n) ** (-spec.beta) * (factor @ xi) + y
+    got = sf.sample_z(spec, 31, 4)
+    assert np.abs(got - expect).max() <= 1e-11 * np.abs(got).max()
+
+
 def test_counter_based_streams():
     spec = sf.fbm_wn_spec(128, 0.5)
     a = sf.sample_z(spec, seed=42, rep_index=3)
