@@ -160,9 +160,13 @@ def _likelihood_root(z2: np.ndarray, w: np.ndarray, start: float) -> float:
 def oracle_estimate(z: np.ndarray, system: WhitenedSystem, spec: ModelSpec) -> float:
     """Oracle estimator using the true sigma^2 in the weights (testing
     baseline; unbiased with variance equal to the inverse information)."""
-    z2 = system.transform(z) ** 2
     w = information_weights(system.lam, spec.n, spec.beta)
-    return _weighted_sum(z2, w, spec.sigma ** 2, np.arange(system.n))
+    return _oracle_from_squares(system.transform(z) ** 2, w, spec)
+
+
+def _oracle_from_squares(z2: np.ndarray, w: np.ndarray, spec: ModelSpec) -> float:
+    """``oracle_estimate`` from the squared transformed data z2."""
+    return _weighted_sum(z2, w, spec.sigma ** 2, np.arange(z2.size))
 
 
 def estimate(z: np.ndarray, spec: ModelSpec,
@@ -183,9 +187,14 @@ def estimate(z: np.ndarray, spec: ModelSpec,
         raise DomainError("data contains non-finite values")
     system = whitened_system(spec) if system is None else system
     split = make_split(system.lam, spec.n, spec.beta)
-    z2 = system.transform(z) ** 2
     w = information_weights(system.lam, spec.n, spec.beta)
+    return _estimate_from_squares(system.transform(z) ** 2, w, split, system, spec)
 
+
+def _estimate_from_squares(z2: np.ndarray, w: np.ndarray, split: SplitPlan,
+                           system: WhitenedSystem, spec: ModelSpec) -> EstimateResult:
+    """``estimate`` from the squared transformed data z2, with the weights
+    and split of ``system`` built once by the caller."""
     v = _weighted_sum(z2, w, 1.0, split.a_n)
     sigma2_tilde = float(np.clip(v, split.delta_n, 1.0 / split.delta_n))
     two_stage = _weighted_sum(z2, w, sigma2_tilde, split.a_n_c)

@@ -22,6 +22,7 @@ REGIME_SUPER = "supercritical"
 
 INTEGRAL_RTOL = 1e-6    # relative agreement of two panel doublings
 MAX_PANELS = 2048       # panels per side of the crossover before giving up
+CROSSOVER_SECTIONS = 32  # sub-brackets per step of the crossover search
 
 
 def information_weights(lam: np.ndarray, n: int, beta: float) -> np.ndarray:
@@ -85,7 +86,12 @@ def _panel_sum(ratio_sq, anchor: float, m: int) -> float:
 
 def spectral_crossover(spec: ModelSpec) -> float | None:
     """Frequency where the scaled signal spectrum crosses the noise spectrum,
-    or None if the two never cross on (0, pi]."""
+    or None if the two never cross on (0, pi].
+
+    The first sign change on a geometric grid is narrowed by sectioning:
+    each step evaluates CROSSOVER_SECTIONS - 1 geometric points inside the
+    bracket in one call and keeps the first sub-bracket where the sign
+    changes, until no float lies strictly inside the bracket."""
     pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
 
     def diff(lam):
@@ -98,17 +104,24 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size == 0:
         return None
-    lo, hi = grid[idx[0]], grid[idx[0] + 1]
+    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
     sign_lo = sign[idx[0]]  # every move of lo keeps this sign
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break
-        if diff(np.array([mid]))[0] * sign_lo <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return math.sqrt(lo * hi)
+    # geometric fractions of the bracket; they tend to k / SECTIONS as it
+    # narrows, so the last steps visit every float inside it
+    steps = np.arange(1, CROSSOVER_SECTIONS) / CROSSOVER_SECTIONS
+    while True:
+        log_ratio = math.log(hi) - math.log(lo)
+        frac = np.expm1(steps * log_ratio) / math.expm1(log_ratio) if log_ratio else steps
+        pts = lo + (hi - lo) * frac
+        pts = pts[(lo < pts) & (pts < hi)]
+        if pts.size == 0:
+            return math.sqrt(lo * hi)
+        flip = np.nonzero(diff(pts) * sign_lo <= 0)[0]
+        k = int(flip[0]) if flip.size else pts.size  # first point past the sign change
+        if k > 0:
+            lo = float(pts[k - 1])
+        if k < pts.size:
+            hi = float(pts[k])
 
 
 def fisher_integral(spec: ModelSpec) -> float:

@@ -5,6 +5,7 @@ eigenvalue form of the Fisher information."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +29,40 @@ def toeplitz(gamma) -> np.ndarray:
     return _sp_toeplitz(gamma)
 
 
+def _diff_base(n: int, convention: str) -> np.ndarray:
+    """D D^t or D^t D for the n x n first-difference matrix D."""
+    d = np.eye(n) - np.eye(n, k=-1)
+    return d @ d.T if convention == DELTA_DELTAT else d.T @ d
+
+
 def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.ndarray:
     """Noise covariance tau^2 (D D^t)^K or tau^2 (D^t D)^K with exact
     integer combinatorial entries before the tau^2 scaling.
 
-    The powers run in float64 BLAS: every entry and partial sum is a small
-    integer, so the result equals the integer matrix power exactly."""
+    The power is banded: away from the ends it is the stencil
+    (-1)^m C(2K, K+m), |m| <= K, of (2 - 2 cos)^K, and only the K x K corner
+    at each end differs.  The corners come from the power of a
+    (4K + 2)-point block, whose ends are those of the full matrix, and no
+    path of K steps from a corner entry reaches the block's other end.
+    Every entry is a small integer, so the float64 result equals the
+    integer matrix power exactly."""
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     if K == 0:
         return tau ** 2 * np.eye(n)
-    d = np.eye(n) - np.eye(n, k=-1)
-    base = d @ d.T if convention == DELTA_DELTAT else d.T @ d
-    return tau ** 2 * np.linalg.matrix_power(base, K)
+    block = 4 * K + 2
+    if n <= block:
+        return tau ** 2 * np.linalg.matrix_power(_diff_base(n, convention), K)
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    for m in range(K + 1):
+        c = (-1.0) ** m * math.comb(2 * K, K + m)
+        flat[m:(n - m) * n:n + 1] = c     # m-th superdiagonal
+        flat[m * n::n + 1] = c            # m-th subdiagonal
+    corner = np.linalg.matrix_power(_diff_base(block, convention), K)
+    out[:K, :K] = corner[:K, :K]
+    out[-K:, -K:] = corner[-K:, -K:]
+    return tau ** 2 * out
 
 
 def dct_nodes(n: int) -> np.ndarray:
@@ -124,15 +146,21 @@ class WhitenedSystem:
         return self.lam.size
 
     def transform(self, z: np.ndarray) -> np.ndarray:
-        """(A^-1 D)^t z via a triangular solve; no explicit inverse.
+        """(A^-1 D)^t z via a triangular solve; no explicit inverse."""
+        return self._transform_each([np.asarray(z, dtype=float)])[0]
 
-        A comes from a checked Cholesky factorisation, so the solve skips
+    def _transform_each(self, zs: list[np.ndarray]) -> list[np.ndarray]:
+        """``transform`` of each vector in ``zs``, one stage at a time: all
+        the solves with A, then all the products with D^t, so each n x n
+        array is read once per list.  Each vector goes through the same
+        one-vector BLAS calls, so the results do not depend on the list.
+
+        A comes from a checked Cholesky factorisation, so the solves skip
         scipy's finiteness scan of it (an O(n^2) pass that costs more than
         the solve); non-finite data give non-finite output."""
-        z = np.asarray(z, dtype=float)
-        w = solve_triangular(self.a_factor, z, trans="T", lower=False,
-                             check_finite=False)
-        return self.basis.T @ w
+        ws = [solve_triangular(self.a_factor, z, trans="T", lower=False,
+                               check_finite=False) for z in zs]
+        return [self.basis.T @ w for w in ws]
 
 
 def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:

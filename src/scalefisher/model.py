@@ -435,24 +435,19 @@ def fbm_wn_spec(n: int, H: float, sigma: float = 1.0, tau: float = 1.0) -> Model
 
 
 def large_error_spec(n: int, H: float, beta: float, sigma: float = 1.0,
-                     tau: float = 1.0, normalize: bool | None = None) -> ModelSpec:
+                     tau: float = 1.0) -> ModelSpec:
     """Long-range dependent signal observed under noise growing like n^beta:
     K = 0, alpha = 1/2 - H with H in (1/2, 1); requires 0 < beta < H - 1/2.
 
-    ``normalize`` rescales gamma so that sum gamma_k^2 = 1 (only possible for
-    H < 3/4); defaults to True exactly in that range.
+    For H < 3/4 gamma is rescaled so that sum gamma_k^2 = 1; for H >= 3/4
+    the squared autocovariances are not summable and gamma is left as is.
     """
     if not 0.5 < H < 1:
         raise DomainError(f"large-error preset requires H in (1/2, 1), got {H}")
     if not 0 < beta < H - 0.5:
         raise DomainError(f"large-error preset requires 0 < beta < H - 1/2 = {H - 0.5}")
-    if normalize is None:
-        normalize = H < 0.75
     scale = 1.0
-    if normalize:
-        if H >= 0.75:
-            raise DomainError("normalization impossible for H >= 3/4 "
-                              "(squared autocovariances are not summable)")
+    if H < 0.75:
         base = ModelSpec(
             n=n, beta=beta, sigma=sigma, tau=tau, K=0,
             x_cov=AutocovarianceSpec(kind="fgn", hurst=H),

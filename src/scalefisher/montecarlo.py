@@ -4,7 +4,10 @@ Each draw costs one triangular product with the Cholesky factor of the
 signal covariance and one cosine transform by FFT for the noise.
 Replicate streams are counter-based (Philox keyed by (seed, replicate)), so
 a replicate's draw is bit-identical whether generated alone, in a different
-batch, or on a different worker count."""
+batch, or on a different worker count.  Studies run replicates in chunks,
+one stage at a time across the chunk, so each n x n array is read once per
+chunk; every stage makes the one-vector calls of ``sample_z`` and
+``estimate``, so the chunking does not change any value."""
 
 from __future__ import annotations
 
@@ -17,12 +20,14 @@ import numpy as np
 from scipy.linalg import cholesky, LinAlgError
 from scipy.linalg.blas import dtrmv
 
-from .estimator import EstimateResult, estimate, oracle_estimate
-from .fisher import fisher_exact, whitened_system
+from .estimator import (EstimateResult, _estimate_from_squares, _oracle_from_squares,
+                        make_split)
+from .fisher import fisher_exact, information_weights, whitened_system
 from .linalg import NotPositiveDefiniteError, cosine_transform, dct_nodes, DELTAT_DELTA
 from .model import DomainError, ModelSpec
 
 ESTIMATORS = ("oracle", "efficient")
+_CHUNK = 16  # replicates per chunk: about 1.3 MB of vectors at n = 2048
 
 
 @lru_cache(maxsize=1)
@@ -54,16 +59,28 @@ def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
     exactly diagonal (index-reversed for the D^t D convention), with C
     applied by ``cosine_transform``.
     """
-    rng = _rep_rng(seed, rep_index)
-    xi = rng.standard_normal(spec.n)
-    xi_noise = rng.standard_normal(spec.n)
-    x = dtrmv(_signal_chol(spec), xi, lower=1)
+    return _sample_each(spec, seed, range(rep_index, rep_index + 1))[0]
+
+
+def _sample_each(spec: ModelSpec, seed: int, reps: range) -> list[np.ndarray]:
+    """``sample_z`` of each replicate in ``reps``, one stage at a time: all
+    the draws, then every product with L, then every cosine transform, so L
+    is read once per range.  Each replicate goes through the same
+    one-vector calls, so its draw does not depend on the range."""
+    draws = []
+    for rep in reps:
+        rng = _rep_rng(seed, rep)
+        xi = rng.standard_normal(spec.n)
+        draws.append((xi, rng.standard_normal(spec.n)))
+    factor = _signal_chol(spec)
+    xs = [dtrmv(factor, xi, lower=1) for xi, _ in draws]
     u = dct_nodes(spec.n)
     d = 2.0 ** spec.K * spec.tau * np.sin(u / 2.0) ** spec.K
-    y = cosine_transform(d * xi_noise)
+    ys = [cosine_transform(d * xi_noise) for _, xi_noise in draws]
     if spec.noise_convention == DELTAT_DELTA:
-        y = y[::-1]
-    return spec.sigma * float(spec.n) ** (-spec.beta) * x + y
+        ys = [y[::-1] for y in ys]
+    scale = spec.sigma * float(spec.n) ** (-spec.beta)
+    return [scale * x + y for x, y in zip(xs, ys)]
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,12 @@ class McStudy:
     @property
     def values(self) -> np.ndarray:
         return np.array([e.sigma2_hat for e in self.estimates])
+
+    @property
+    def normalized_se(self) -> float:
+        """Standard error of ``normalized``: I * std(err^2) / sqrt(reps)."""
+        err2 = (self.values - self.spec.sigma ** 2) ** 2
+        return self.fisher_exact * float(np.std(err2, ddof=1)) / float(np.sqrt(self.reps))
 
     def to_dict(self) -> dict:
         return {
@@ -102,11 +125,26 @@ class McStudy:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _chunks(reps: int, workers: int) -> list[range]:
+    """Contiguous replicate ranges of at most _CHUNK, and at least
+    ``workers`` of them when there are that many replicates."""
+    size = max(1, min(_CHUNK, -(-reps // workers)))
+    return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
 def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient",
               workers: int = 1) -> McStudy:
     """Independent replicates of simulate-then-estimate; deterministic for
     fixed (spec, reps, seed) and any worker count (results merged in
-    replicate order)."""
+    replicate order).
+
+    Replicates run in contiguous chunks, stage by stage (draws, signal
+    products, cosine transforms, whitening solves, eigenbasis products,
+    then the estimator), so each n x n array is read once per chunk rather
+    than once per replicate.  Every replicate goes through the one-vector
+    calls of ``sample_z`` and ``estimate`` (or ``oracle_estimate``), so each
+    estimate is bit-identical to theirs for any chunking and worker count.
+    The split and the information weights are built once per study."""
     if reps < 2:
         raise DomainError("need at least two replicates")
     if estimator not in ESTIMATORS:
@@ -114,23 +152,33 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
     system = whitened_system(spec)
     _signal_chol(spec)
     info = fisher_exact(spec, system=system)
+    w = information_weights(system.lam, spec.n, spec.beta)
+    lam_max, lam_min = float(system.lam[0]), float(system.lam[-1])
 
-    def one(rep: int) -> EstimateResult:
-        z = sample_z(spec, seed, rep)
-        if estimator == "oracle":
-            val = oracle_estimate(z, system, spec)
+    if estimator == "oracle":
+        def finish(z2: np.ndarray) -> EstimateResult:
+            val = _oracle_from_squares(z2, w, spec)
             return EstimateResult(
                 preliminary_V=val, sigma2_tilde=val, sigma2_two_stage=val,
-                sigma2_hat=val,
-                plugin_fisher=info, split={}, lam_max=float(system.lam[0]),
-                lam_min=float(system.lam[-1]))
-        return estimate(z, spec, system=system)
+                sigma2_hat=val, plugin_fisher=info, split={},
+                lam_max=lam_max, lam_min=lam_min)
+    else:
+        split = make_split(system.lam, spec.n, spec.beta)
 
+        def finish(z2: np.ndarray) -> EstimateResult:
+            return _estimate_from_squares(z2, w, split, system, spec)
+
+    def chunk(part: range) -> list[EstimateResult]:
+        qs = system._transform_each(_sample_each(spec, seed, part))
+        return [finish(q ** 2) for q in qs]
+
+    parts = _chunks(reps, workers)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(reps)))
+            done = list(pool.map(chunk, parts))
     else:
-        results = [one(rep) for rep in range(reps)]
+        done = [chunk(part) for part in parts]
+    results = [r for part in done for r in part]
 
     truth = spec.sigma ** 2
     errs = np.array([r.sigma2_hat for r in results]) - truth

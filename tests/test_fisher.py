@@ -134,8 +134,8 @@ def test_integral_sandwich():
 
 
 def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
-    # one grid call, then one call per bisection step until the bracket stops
-    # shrinking in floating point
+    # one grid call, then one call per 32-section step until the bracket
+    # stops shrinking in floating point
     calls = []
     orig = sf.ModelSpec.spectral_density_f
 
@@ -146,7 +146,7 @@ def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
     monkeypatch.setattr(sf.ModelSpec, "spectral_density_f", counted)
     spec = sf.fbm_wn_spec(10 ** 6, 0.3)
     lam_c = spectral_crossover(spec)
-    assert len(calls) <= 52
+    assert len(calls) <= 12
     h = spec.sigma ** 2 * 1e6 ** (-2 * spec.beta) * orig(spec, lam_c)
     assert h == pytest.approx(float(spec.noise_spectral_density(lam_c)), rel=1e-9)
 

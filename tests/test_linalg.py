@@ -58,6 +58,20 @@ def test_diff_cov_matches_dense_product():
                                dense_diff_cov(6, K, 1.3, conv), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 11, 12, 64, 513])
+def test_diff_cov_band_equals_integer_power(n):
+    # the banded build against the dense power it replaced (float64 BLAS on
+    # integer entries, so exact), entry for entry; below 4K + 2 points the
+    # corners overlap and the power is dense
+    for K in range(5):
+        for conv in ("delta_deltaT", "deltaT_delta"):
+            d = np.eye(n) - np.eye(n, k=-1)
+            base = d @ d.T if conv == "delta_deltaT" else d.T @ d
+            power = np.linalg.matrix_power(base, K)
+            assert np.array_equal(sf.diff_cov(n, K, 1.0, conv), power)
+            assert np.array_equal(sf.diff_cov(n, K, 1.3, conv), 1.3 ** 2 * power)
+
+
 def test_reversal_identity_exact():
     # reversing row/column order swaps the two conventions, with integer entries
     for K in (1, 2):
@@ -201,7 +215,9 @@ def test_whiten_rejects_indefinite_noise():
 
 
 def test_cached_arrays_are_read_only():
-    # a write through a returned array would silently change the cached value
+    # the whitened system is shared through its cache, so a write through a
+    # returned array would silently change it; the uncached cosine basis is
+    # read-only too, so no caller mistakes it for scratch space
     with pytest.raises(ValueError):
         sf.dct_basis(8)[0, 0] = 1.0
     system = sf.whitened_system(sf.fbm_wn_spec(16, 0.5))

@@ -443,7 +443,7 @@ def test_sum_gamma_squared_white_noise():
 
 
 def test_sum_gamma_squared_brute():
-    spec = sf.large_error_spec(16, 0.6, 0.05, normalize=False)
+    spec = sf.fbm_wn_spec(16, 0.6)  # gamma is the unscaled fGn autocovariance
     k = np.arange(1, 3_000_000)
     g = sf.gamma_fgn(0.6, k)
     brute = sf.gamma_fgn(0.6, 0) ** 2 + 2 * float(np.sum(g ** 2))
@@ -451,14 +451,12 @@ def test_sum_gamma_squared_brute():
 
 
 def test_large_error_normalization():
-    spec = sf.large_error_spec(16, 0.6, 0.05)  # defaults to normalized
+    spec = sf.large_error_spec(16, 0.6, 0.05)  # H < 3/4: normalized
     assert spec.sum_gamma_squared() == pytest.approx(1.0, rel=1e-5)
-    with pytest.raises(sf.DomainError):
-        sf.large_error_spec(16, 0.8, 0.1, normalize=True)
 
 
 def test_sum_gamma_squared_divergent():
-    spec = sf.large_error_spec(16, 0.8, 0.1, normalize=False)
+    spec = sf.large_error_spec(16, 0.8, 0.1)  # H >= 3/4: left unnormalised
     with pytest.raises(sf.DomainError):
         spec.sum_gamma_squared()
 

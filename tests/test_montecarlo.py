@@ -119,6 +119,54 @@ def test_run_study_replicates_match_standalone_sampler():
     assert study.estimates[2].sigma2_hat == standalone.sigma2_hat
 
 
+USER_K0 = sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
+                       sf.SlowlyVaryingSpec("constant", 0.1))
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: sf.fbm_wn_spec(257, 0.3),
+    lambda: replace(sf.fbm_wn_spec(257, 0.3), noise_convention="deltaT_delta"),
+    lambda: sf.integrated_fbm_spec(129, 0.1),
+    lambda: sf.integrated_fbm_spec(129, 0.1, tau=0.05),
+    lambda: USER_K0,
+], ids=["fbm-wn", "fbm-wn-deltaT_delta", "integrated-fbm", "integrated-fbm-low-noise",
+        "user-K0"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_staged_study_equals_one_replicate_calls(make_spec, workers):
+    # run_study works through chunks of replicates stage by stage; every
+    # replicate must still equal the standalone sampler and estimators, bit
+    # for bit, across chunk boundaries and worker counts
+    spec = make_spec()
+    reps, seed = 2 * sf.montecarlo._CHUNK + 5, 11
+    system = sf.whitened_system(spec)
+    draws = [sf.sample_z(spec, seed, r) for r in range(reps)]
+    oracle = sf.run_study(spec, reps, seed, estimator="oracle", workers=workers)
+    assert [e.sigma2_hat for e in oracle.estimates] == \
+        [sf.oracle_estimate(z, system, spec) for z in draws]
+    try:
+        sf.make_split(system.lam, spec.n, spec.beta)
+    except sf.InsufficientInformation:
+        # too little information to split: both paths refuse alike
+        with pytest.raises(sf.InsufficientInformation):
+            sf.estimate(draws[0], spec, system=system)
+        with pytest.raises(sf.InsufficientInformation):
+            sf.run_study(spec, reps, seed, workers=workers)
+        return
+    study = sf.run_study(spec, reps, seed, workers=workers)
+    assert [e.to_dict() for e in study.estimates] == \
+        [sf.estimate(z, spec, system=system).to_dict() for z in draws]
+
+
+def test_normalized_se_definition():
+    spec = sf.fbm_wn_spec(512, 0.5, sigma=1.3)
+    study = sf.run_study(spec, reps=25, seed=1)
+    err2 = [(e.sigma2_hat - 1.3 ** 2) ** 2 for e in study.estimates]
+    mean = sum(err2) / 25
+    sd = (sum((v - mean) ** 2 for v in err2) / 24) ** 0.5
+    assert study.normalized_se == pytest.approx(study.fisher_exact * sd / 5.0, rel=1e-12)
+    assert "normalized_se" not in study.to_dict()
+
+
 def test_oracle_study_efficiency():
     spec = sf.fbm_wn_spec(512, 0.5)
     study = sf.run_study(spec, reps=2000, seed=2025, estimator="oracle")
