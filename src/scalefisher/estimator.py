@@ -111,16 +111,14 @@ class EstimateResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _weighted_sum(z2: np.ndarray, w: np.ndarray, u: float,
-                  indices: np.ndarray) -> float:
-    """(2 I_u^B)^-1 sum_{i in B} w_i (z2_i - 1) / (u w_i + 1)^2 with
-    I_u^B = (1/2) sum_{i in B} w_i^2 / (u w_i + 1)^2, indices ascending with
-    numpy pairwise summation for reproducibility."""
-    idx = np.sort(np.asarray(indices, dtype=int))
-    wb = w[idx]
-    denom = (u * wb + 1.0) ** 2
-    info = 0.5 * float(np.sum(wb ** 2 / denom))
-    return float(np.sum(wb * (z2[idx] - 1.0) / denom)) / (2.0 * info)
+def _weighted_sum(z2: np.ndarray, w: np.ndarray, u: float) -> float:
+    """(2 I_u)^-1 sum_i w_i (z2_i - 1) / (u w_i + 1)^2 with
+    I_u = (1/2) sum_i w_i^2 / (u w_i + 1)^2 over the coordinates given: all
+    of them, or a slice for one part of the split, summed in index order by
+    numpy's pairwise summation."""
+    denom = (u * w + 1.0) ** 2
+    info = 0.5 * float(np.sum(w ** 2 / denom))
+    return float(np.sum(w * (z2 - 1.0) / denom)) / (2.0 * info)
 
 
 def _likelihood_root(z2: np.ndarray, w: np.ndarray, start: float) -> float:
@@ -166,7 +164,7 @@ def oracle_estimate(z: np.ndarray, system: WhitenedSystem, spec: ModelSpec) -> f
 
 def _oracle_from_squares(z2: np.ndarray, w: np.ndarray, spec: ModelSpec) -> float:
     """``oracle_estimate`` from the squared transformed data z2."""
-    return _weighted_sum(z2, w, spec.sigma ** 2, np.arange(z2.size))
+    return _weighted_sum(z2, w, spec.sigma ** 2)
 
 
 def estimate(z: np.ndarray, spec: ModelSpec,
@@ -195,9 +193,10 @@ def _estimate_from_squares(z2: np.ndarray, w: np.ndarray, split: SplitPlan,
                            system: WhitenedSystem, spec: ModelSpec) -> EstimateResult:
     """``estimate`` from the squared transformed data z2, with the weights
     and split of ``system`` built once by the caller."""
-    v = _weighted_sum(z2, w, 1.0, split.a_n)
+    k = split.a_n.size  # the prefix a_n is arange(k), its complement the rest
+    v = _weighted_sum(z2[:k], w[:k], 1.0)
     sigma2_tilde = float(np.clip(v, split.delta_n, 1.0 / split.delta_n))
-    two_stage = _weighted_sum(z2, w, sigma2_tilde, split.a_n_c)
+    two_stage = _weighted_sum(z2[k:], w[k:], sigma2_tilde)
     if not np.isfinite(two_stage):
         raise DomainError("estimator produced a non-finite value")
     start = two_stage if two_stage > 0.0 else sigma2_tilde

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, toeplitz as _sp_toeplitz
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtbtrs
 
 from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError, noise_symbol
 
@@ -136,14 +137,30 @@ class WhitenedSystem:
     """Joint reduction of (Cov(x), Cov(y)): Cov(y) = A^t A with A upper
     triangular, and lam (descending) the eigenvalues of A^-t Cov(x) A^-1
     with orthogonal eigenbasis D.  The data map z -> (A^-1 D)^t z makes the
-    transformed noise white and the transformed signal diagonal."""
-    a_factor: np.ndarray
+    transformed noise white and the transformed signal diagonal.
+
+    A is held as ``a_band``, its upper band in LAPACK band storage:
+    a_band[kd + i - j, j] = A[i, j] for the band width kd, shape (kd + 1, n).
+    The noise covariance is banded, so kd = min(K, n - 1) and A's entries
+    beyond the band are exact zeros."""
+    a_band: np.ndarray
     basis: np.ndarray
     lam: np.ndarray
 
     @property
     def n(self) -> int:
         return self.lam.size
+
+    @property
+    def a_factor(self) -> np.ndarray:
+        """The dense factor A, rebuilt from the band; read-only."""
+        kd, n = self.a_band.shape[0] - 1, self.n
+        a = np.zeros((n, n))
+        flat = a.reshape(-1)
+        for d in range(kd + 1):
+            flat[d:(n - d) * n:n + 1] = self.a_band[kd - d, d:]   # d-th superdiagonal
+        a.flags.writeable = False
+        return a
 
     def transform(self, z: np.ndarray) -> np.ndarray:
         """(A^-1 D)^t z via a triangular solve; no explicit inverse."""
@@ -153,13 +170,13 @@ class WhitenedSystem:
         """``transform`` of each vector in ``zs``, one stage at a time: all
         the solves with A, then all the products with D^t, so each n x n
         array is read once per list.  Each vector goes through the same
-        one-vector BLAS calls, so the results do not depend on the list.
+        one-vector LAPACK and BLAS calls, so the results do not depend on the
+        list.  A matrix in place of a vector has each column transformed.
 
-        A comes from a checked Cholesky factorisation, so the solves skip
-        scipy's finiteness scan of it (an O(n^2) pass that costs more than
-        the solve); non-finite data give non-finite output."""
-        ws = [solve_triangular(self.a_factor, z, trans="T", lower=False,
-                               check_finite=False) for z in zs]
+        The solve with A^t is a banded one (LAPACK tbtrs) in O(n kd).  A
+        comes from a Cholesky factorisation, so its diagonal is positive and
+        the solve cannot fail; non-finite data give non-finite output."""
+        ws = [dtbtrs(self.a_band, z, uplo="U", trans="T")[0] for z in zs]
         return [self.basis.T @ w for w in ws]
 
 
@@ -184,6 +201,12 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
             f"whitened signal covariance has eigenvalue {lam[-1]:.3e} below "
             f"-{NEG_EIG_TOL:g} * lambda_1")
     np.clip(lam, 0.0, None, out=lam)
-    for arr in (a, vec, lam):
+    n = a.shape[0]
+    # band width: the largest j - i with A[i, j] != 0, from each row's last nonzero
+    kd = int(np.max(n - 1 - np.argmax(a[:, ::-1] != 0, axis=1) - np.arange(n)))
+    a_band = np.zeros((kd + 1, n), order="F")
+    for d in range(kd + 1):
+        a_band[kd - d, d:] = np.diagonal(a, d)
+    for arr in (a_band, vec, lam):
         arr.flags.writeable = False
-    return WhitenedSystem(a_factor=a, basis=vec, lam=lam)
+    return WhitenedSystem(a_band=a_band, basis=vec, lam=lam)

@@ -122,7 +122,7 @@ def test_criterion_6_oracle_efficiency(capsys):
     # exact property: substituting the transformed second moments returns sigma^2
     w = system.lam * float(spec.n) ** (-2 * spec.beta)
     mean_z2 = spec.sigma ** 2 * w + 1.0
-    sub = _weighted_sum(mean_z2, w, spec.sigma ** 2, np.arange(spec.n))
+    sub = _weighted_sum(mean_z2, w, spec.sigma ** 2)
     exact_ok = abs(sub / spec.sigma ** 2 - 1.0) <= 1e-10
 
     study = sf.run_study(spec, reps=2000, seed=2025, estimator="oracle")

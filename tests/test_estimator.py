@@ -122,7 +122,7 @@ def test_oracle_mean_substitution_identity():
     mean_z2 = spec.sigma ** 2 * w + 1.0
     for u in (0.3, 1.0, spec.sigma ** 2, 5.0):
         for idx in (np.arange(96), np.arange(10, 60), np.arange(0, 96, 3)):
-            val = _weighted_sum(mean_z2, w, u, idx)
+            val = _weighted_sum(mean_z2[idx], w[idx], u)
             assert val == pytest.approx(spec.sigma ** 2, rel=1e-10)
 
 
@@ -181,16 +181,27 @@ def test_estimate_validation():
         sf.estimate(np.zeros(16), sf.fbm_wn_spec(16, 0.5))
 
 
-def test_weighted_sum_order_invariance():
+def test_weighted_sum_slices_equal_sorted_index_sums():
+    # the split parts are a prefix and its complement, so slices of z2 and w
+    # give the sums of the ascending index sets bit for bit
     spec = sf.fbm_wn_spec(128, 0.5)
     system = sf.whitened_system(spec)
     rng = np.random.default_rng(3)
     z2 = rng.chisquare(1, size=128)
-    idx = np.arange(40, 128)
     w = information_weights(system.lam, 128, 0.5)
-    a = _weighted_sum(z2, w, 0.9, idx)
-    b = _weighted_sum(z2, w, 0.9, rng.permutation(idx))
-    assert a == b  # bit-identical: ascending-order summation policy
+
+    def sorted_index_sum(idx, u):
+        idx = np.sort(idx)
+        wb = w[idx]
+        denom = (u * wb + 1.0) ** 2
+        info = 0.5 * float(np.sum(wb ** 2 / denom))
+        return float(np.sum(wb * (z2[idx] - 1.0) / denom)) / (2.0 * info)
+
+    for k in (1, 17, 40, 127):
+        assert _weighted_sum(z2[:k], w[:k], 1.0) == sorted_index_sum(
+            rng.permutation(np.arange(k)), 1.0)
+        assert _weighted_sum(z2[k:], w[k:], 0.9) == sorted_index_sum(
+            rng.permutation(np.arange(k, 128)), 0.9)
 
 
 def test_estimate_deterministic():

@@ -3,6 +3,7 @@ eigenbasis, and the whitening transform."""
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 import scalefisher as sf
 
@@ -209,6 +210,28 @@ def test_whiten_transform_diagonalizes_cov_z():
     assert np.abs(got - expect).max() <= 1e-9
 
 
+@pytest.mark.parametrize("K", [0, 1, 2])
+@pytest.mark.parametrize("conv", ["delta_deltaT", "deltaT_delta"])
+def test_noise_factor_band(K, conv):
+    # the Cholesky factor of the banded noise covariance is exactly zero
+    # beyond its band, so the band alone carries it and the banded solve
+    # matches the dense triangular one
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7, 64, 257):
+        cov_y = sf.diff_cov(n, K, 0.9, conv)
+        dense = cholesky(cov_y, lower=False)
+        kd = min(K, n - 1)
+        assert np.all(np.triu(dense, kd + 1) == 0.0)
+        system = sf.whiten(sf.toeplitz(sf.gamma_fgn(0.3, np.arange(n))), cov_y)
+        assert system.a_band.shape == (kd + 1, n)
+        assert np.array_equal(system.a_factor, dense)
+        for z in (rng.standard_normal(n), rng.standard_normal((n, n))):
+            expect = system.basis.T @ solve_triangular(dense, z, trans="T", lower=False)
+            got = system.transform(z)
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_whiten_rejects_indefinite_noise():
     with pytest.raises(sf.NotPositiveDefiniteError):
         sf.whiten(np.eye(3), np.diag([1.0, -1.0, 1.0]))
@@ -224,3 +247,4 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         system.lam[0] = 1.0
     assert not system.basis.flags.writeable and not system.a_factor.flags.writeable
+    assert not system.a_band.flags.writeable

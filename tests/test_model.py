@@ -11,7 +11,7 @@ from scipy.special import gamma as gamma_fn, zeta
 
 import scalefisher as sf
 from scalefisher._quad import gauss_nodes
-from scalefisher.model import integrated_fbm_boundary_cov
+from scalefisher.model import _folded_lattice, integrated_fbm_boundary_cov
 
 # ---------------------------------------------------------------------------
 # oracles (independent of the production kernels)
@@ -262,6 +262,34 @@ def test_spectrum_crosscheck_single_point():
     a = spec.spectral_density_x(1.0)
     b = spec.spectral_density_x_aliased(1.0)
     assert a == pytest.approx(b, rel=1e-6)
+
+
+# zeta(s, q) + zeta(s, 1 - q) at the binary values of the float s and q,
+# computed once with mpmath 1.3.0 at 40 significant digits:
+#   mpmath.mp.dps = 40; s_, q_ = mpmath.mpf(s), mpmath.mpf(q)
+#   mpmath.zeta(s_, q_) + mpmath.zeta(s_, 1 - q_)
+FOLDED_LATTICE_40_DIGITS = (
+    (1.05, 1e-12, 3981071705576.139165412038270389484646037),
+    (1.5, 0.01, 1005.225173273036377355788207660568005564),
+    (2.0, 0.25, 19.73920880217871723766898199975230227063),
+    (2.6, 0.5, 13.21891912124093561488759020744345581392),
+    (3.2, 0.125, 778.6062355371114587936063346253794205354),
+    (3.45, 0.4, 30.07523823987706037212695193999824368073),
+)
+
+
+def test_folded_lattice_matches_hurwitz_zeta():
+    fgn_s = [2 * H + 1 for H in (0.025, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.975)]
+    integrated_s = [2 * H + 3 for H in (0.025, 0.1, 0.2, 0.245)]
+    q = np.append(np.geomspace(1e-16, 0.5, 200), 0.5)
+    for s in fgn_s + integrated_s:
+        ref = zeta(s, q) + zeta(s, 1.0 - q)
+        np.testing.assert_allclose(_folded_lattice(s, q), ref, rtol=1e-13, atol=0)
+        scalar = _folded_lattice(s, np.array(0.3))
+        assert np.ndim(scalar) == 0
+        assert scalar == pytest.approx(zeta(s, 0.3) + zeta(s, 0.7), rel=1e-13)
+    for s, q0, ref in FOLDED_LATTICE_40_DIGITS:
+        assert _folded_lattice(s, q0) == pytest.approx(ref, rel=2e-15)
 
 
 def brute_series(spec, lam, kmax=1 << 21, chunk=1 << 16):
