@@ -156,8 +156,8 @@ def _parse_n_grid(text: str) -> list[int]:
         steps = _number("--n-grid", parts[2].split("=", 1)[1], int)
         if steps < 2 or lo <= 0 or hi <= lo:
             raise DomainError(f"--n-grid: invalid bounds in {text!r}")
-        grid = np.unique(np.geomspace(lo, hi, steps).round().astype(int))
-        return [int(v) for v in grid]
+        # Python ints: int64 would overflow beyond 9.2e18
+        return sorted({int(round(v)) for v in np.geomspace(lo, hi, steps)})
     grid = [int(_number("--n-grid", v)) for v in text.split(",") if v.strip()]
     if not grid:
         raise DomainError(f"--n-grid: {text!r} lists no sample size")

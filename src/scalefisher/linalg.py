@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, toeplitz as _sp_toeplitz
+from scipy.linalg import cholesky, toeplitz as _sp_toeplitz
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dtbtrs
 
@@ -139,10 +139,11 @@ class WhitenedSystem:
     with orthogonal eigenbasis D.  The data map z -> (A^-1 D)^t z makes the
     transformed noise white and the transformed signal diagonal.
 
-    A is held as ``a_band``, its upper band in LAPACK band storage:
+    A is held only as ``a_band``, its upper band in LAPACK band storage:
     a_band[kd + i - j, j] = A[i, j] for the band width kd, shape (kd + 1, n).
     The noise covariance is banded, so kd = min(K, n - 1) and A's entries
-    beyond the band are exact zeros."""
+    beyond the band are exact zeros; every solve with A, in ``whiten`` and
+    in the transform, is a banded one."""
     a_band: np.ndarray
     basis: np.ndarray
     lam: np.ndarray
@@ -183,13 +184,27 @@ class WhitenedSystem:
 def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     """Whitening transform for a PSD signal covariance against a positive
     definite noise covariance.  The arrays are read-only, because the
-    system is shared through the ``whitened_system`` cache."""
+    system is shared through the ``whitened_system`` cache.
+
+    Cov(y) is factorised densely, but only the band of its factor A is
+    kept: M = A^-t Cov(x) A^-1 comes from two banded solves (LAPACK tbtrs)
+    over n right-hand sides, W = A^-t Cov(x) and then A^-t W^t, in
+    O(n^2 kd) rather than O(n^3); then one symmetric eigendecomposition."""
     try:
         a = cholesky(cov_y, lower=False)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError("noise covariance is not positive definite") from exc
-    s1 = solve_triangular(a, cov_x, trans="T", lower=False)
-    m = solve_triangular(a, s1.T, trans="T", lower=False).T
+    n = a.shape[0]
+    # band width: the largest j - i with A[i, j] != 0, from each row's last nonzero
+    kd = int(np.max(n - 1 - np.argmax(a[:, ::-1] != 0, axis=1) - np.arange(n)))
+    a_band = np.zeros((kd + 1, n), order="F")
+    for d in range(kd + 1):
+        a_band[kd - d, d:] = np.diagonal(a, d)
+    del a
+    # Cov(x) is symmetric, so its transpose is the same matrix in Fortran order
+    w = dtbtrs(a_band, np.asarray(cov_x, dtype=float).T, uplo="U", trans="T")[0]
+    m = dtbtrs(a_band, w.T, uplo="U", trans="T")[0]
+    del w
     m = 0.5 * (m + m.T)
     lam, vec = np.linalg.eigh(m)
     lam = lam[::-1].copy()
@@ -201,12 +216,6 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
             f"whitened signal covariance has eigenvalue {lam[-1]:.3e} below "
             f"-{NEG_EIG_TOL:g} * lambda_1")
     np.clip(lam, 0.0, None, out=lam)
-    n = a.shape[0]
-    # band width: the largest j - i with A[i, j] != 0, from each row's last nonzero
-    kd = int(np.max(n - 1 - np.argmax(a[:, ::-1] != 0, axis=1) - np.arange(n)))
-    a_band = np.zeros((kd + 1, n), order="F")
-    for d in range(kd + 1):
-        a_band[kd - d, d:] = np.diagonal(a, d)
     for arr in (a_band, vec, lam):
         arr.flags.writeable = False
     return WhitenedSystem(a_band=a_band, basis=vec, lam=lam)

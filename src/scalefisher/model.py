@@ -29,6 +29,9 @@ SUM_SQ_RTOL = 1e-6
 # even Taylor orders k = 0, 2, ..., 2 (LATTICE_TERMS - 1) of the folded lattice
 # sum's series in the shift (see _folded_lattice)
 LATTICE_TERMS = 16
+# largest n of the dense routes (exact Fisher, estimation, sampling): their
+# peak, about five n x n float64 arrays while whitening, is 2.5 GiB at the limit
+MAX_DENSE_N = 8192
 
 DELTA_DELTAT = "delta_deltaT"   # Cov(y) = tau^2 (D D^t)^K
 DELTAT_DELTA = "deltaT_delta"   # Cov(y) = tau^2 (D^t D)^K
@@ -319,7 +322,13 @@ class ModelSpec:
 
     def cov_x(self) -> np.ndarray:
         """Dense covariance of (x_1 .. x_n); Toeplitz except for the
-        nonstationary first row/column of the integrated-motion preset."""
+        nonstationary first row/column of the integrated-motion preset.
+        DomainError beyond MAX_DENSE_N, before anything is allocated."""
+        if self.n > MAX_DENSE_N:
+            raise DomainError(
+                f"n = {self.n} exceeds MAX_DENSE_N = {MAX_DENSE_N}, the largest n of the "
+                "dense routes (exact Fisher, estimation, sampling); for the Fisher "
+                "information at this n use --method integral or --method closed-form")
         g = self.gamma_array(self.n - 1) if self.n > 1 else np.array([self.gamma(0)])
         cov = toeplitz(g)
         if self.x_cov.kind == "integrated_fbm_increment":

@@ -2,12 +2,13 @@
 determinism, JSON round-trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import scalefisher as sf
-from scalefisher.cli import main
+from scalefisher.cli import _parse_n_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,44 @@ def test_rate_scan_bad_grid(capsys):
     code, _, err = run_cli(capsys, "rate-scan", "--preset", "fbm-wn", "--H", "0.5",
                            "--n-grid", "10:5:logsteps=3")
     assert code == 2
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5])
+def test_rate_scan_grid_beyond_int64(capsys, H):
+    # the grid is built in Python ints, so sizes past 9.2e18 neither overflow
+    # a cast nor warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "rate-scan", "--preset", "fbm-wn", "--H", str(H),
+                                 "--n-grid", "1e20:1e40:logsteps=3")
+    assert code == 0
+    assert set(json.loads(err)) == {"slope_integral", "slope_closed_form"}
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3
+    assert [int(r.split(",")[0]) for r in rows] == [int(1e20), int(1e30), int(1e40)]
+    for row in rows:
+        _, integral, closed = map(float, row.split(","))
+        assert integral / closed == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rate_scan_log_grid_integers():
+    assert _parse_n_grid("1e5:1e8:logsteps=4") == [100000, 1000000, 10000000, 100000000]
+    assert _parse_n_grid("1e5:1e8:logsteps=7") == [
+        100000, 316228, 1000000, 3162278, 10000000, 31622777, 100000000]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fisher", "--method", "exact"),
+    ("simulate", "--seed", "1", "--reps", "1"),
+])
+def test_dense_routes_refuse_large_n(capsys, argv):
+    # an n x n covariance at n = 1e5 needs 74.5 GiB: refused before allocating
+    code, out, err = run_cli(capsys, argv[0], "--preset", "fbm-wn", "--H", "0.3",
+                             "--n", "100000", *argv[1:])
+    assert code == 2 and not out
+    assert f"MAX_DENSE_N = {sf.model.MAX_DENSE_N}" in err
+    assert "--method integral" in err and "closed-form" in err
+    assert "Traceback" not in err
 
 
 def test_rate_scan_rejects_n(capsys):

@@ -53,6 +53,15 @@ def test_exact_matches_trace_oracle():
         assert val == pytest.approx(0.5 * float(np.sum(b * b.T)), rel=1e-6)
 
 
+def test_exact_integrated_preset_matches_high_precision_oracle():
+    # I = 1/2 tr((Cov(z)^-1 n^(-2 beta) Cov(x))^2) solved in 40-digit mpmath
+    # arithmetic on the float64 cov_x and diff_cov entries, so it checks the
+    # linear algebra alone; Cov(y) = tau^2 (D D^t)^2 has condition number
+    # about n^4, which the whitening route loses to rounding
+    spec = sf.integrated_fbm_spec(64, 0.1)
+    assert sf.fisher_exact(spec) == pytest.approx(0.43164739668166273781, rel=2e-10)
+
+
 def test_exact_scaling_law():
     spec = sf.fbm_wn_spec(72, 0.6, sigma=1.1, tau=0.9)
     base = sf.fisher_exact(spec)

@@ -232,6 +232,25 @@ def test_noise_factor_band(K, conv):
             assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("K", [0, 1, 2])
+@pytest.mark.parametrize("conv", ["delta_deltaT", "deltaT_delta"])
+def test_whiten_banded_build_matches_dense_solves(n, K, conv):
+    # M = A^-t Cov(x) A^-1 comes from two banded solves; the two dense
+    # triangular solves give the same matrix, and the input is left as it was
+    cov_x = sf.toeplitz(sf.gamma_fgn(0.3, np.arange(n)))
+    cov_x.flags.writeable = False
+    before = cov_x.copy()
+    cov_y = sf.diff_cov(n, K, 0.9, conv)
+    system = sf.whiten(cov_x, cov_y)
+    a = cholesky(cov_y, lower=False)
+    s1 = solve_triangular(a, cov_x, trans="T", lower=False)
+    expect = solve_triangular(a, s1.T, trans="T", lower=False).T
+    got = (system.basis * system.lam[None, :]) @ system.basis.T
+    assert np.abs(got - expect).max() <= 1e-12 * system.lam[0]
+    assert np.array_equal(cov_x, before)
+
+
 def test_whiten_rejects_indefinite_noise():
     with pytest.raises(sf.NotPositiveDefiniteError):
         sf.whiten(np.eye(3), np.diag([1.0, -1.0, 1.0]))
