@@ -146,6 +146,15 @@ def build_spec(args) -> ModelSpec:
                      noise_convention=args.convention or DELTA_DELTAT)
 
 
+def _grid_int(v: float) -> int:
+    """A log-grid point as an int: the exact 10**k when v is that power up to
+    rounding, so 1e30 prints as 1 and 30 zeros rather than its binary value."""
+    k = round(math.log10(v))
+    if k >= 0 and math.isclose(v, 10.0 ** k, rel_tol=1e-12):
+        return 10 ** k
+    return int(round(v))
+
+
 def _parse_n_grid(text: str) -> list[int]:
     """Grid syntax: 'n1,n2,...' or 'lo:hi:logsteps=K'."""
     if ":" in text:
@@ -157,7 +166,7 @@ def _parse_n_grid(text: str) -> list[int]:
         if steps < 2 or lo <= 0 or hi <= lo:
             raise DomainError(f"--n-grid: invalid bounds in {text!r}")
         # Python ints: int64 would overflow beyond 9.2e18
-        return sorted({int(round(v)) for v in np.geomspace(lo, hi, steps)})
+        return sorted({_grid_int(v) for v in np.geomspace(lo, hi, steps)})
     grid = [int(_number("--n-grid", v)) for v in text.split(",") if v.strip()]
     if not grid:
         raise DomainError(f"--n-grid: {text!r} lists no sample size")

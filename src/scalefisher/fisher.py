@@ -23,6 +23,11 @@ REGIME_SUPER = "supercritical"
 INTEGRAL_RTOL = 1e-6    # relative agreement of two panel doublings
 MAX_PANELS = 2048       # panels per side of the crossover before giving up
 CROSSOVER_SECTIONS = 32  # sub-brackets per step of the crossover search
+CROSSOVER_DECADES = 10   # decades per call when the crossover lies below 1e-30
+# lowest frequency the spectral route evaluates: the flat piece of the
+# integral starts no lower, and the crossover search stops here.  The
+# user-sequence tail overflows its node range below about 2e-307.
+LAM_FLOOR = 1e-300
 
 
 def information_weights(lam: np.ndarray, n: int, beta: float) -> np.ndarray:
@@ -76,7 +81,7 @@ def _ratio_sq(spec: ModelSpec, noise):
 def _panel_sum(ratio_sq, anchor: float, m: int) -> float:
     """int_0^pi ratio_sq: m log-spaced Gauss panels on each side of the
     anchor (one side when it is pi), plus the flat piece below anchor * 1e-9."""
-    lam_lo = max(anchor * 1e-9, 1e-300)
+    lam_lo = max(anchor * 1e-9, LAM_FLOOR)
     edges = [np.geomspace(lam_lo, anchor, m + 1)]
     if anchor < np.pi:
         edges.append(np.geomspace(anchor, np.pi, m + 1)[1:])
@@ -84,14 +89,48 @@ def _panel_sum(ratio_sq, anchor: float, m: int) -> float:
     return acc + float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
 
 
+def _crossover_decades(spec: ModelSpec, diff) -> tuple[float, float] | None:
+    """Bracket (10^-k, 10^(1-k)) of a crossover below 1e-30, for ``diff``
+    (scaled signal minus noise spectrum) negative at 1e-30: the first decade
+    down where the signal dominates.  None if there is none down to
+    LAM_FLOOR but the integrand is flat, so anchoring at pi is exact.
+
+    Far below 1e-30 the preset spectra overflow to inf where the signal
+    dominates, and give nan where both spectra underflow; nan counts as
+    noise-dominated."""
+    exps = np.arange(-30, round(math.log10(LAM_FLOOR)) - 1, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, exps.size, CROSSOVER_DECADES):
+            decades = 10.0 ** exps[start:start + CROSSOVER_DECADES]
+            above = np.nonzero(diff(decades) > 0)[0]
+            if above.size:
+                k = start + int(above[0])
+                return 10.0 ** float(exps[k]), 10.0 ** float(exps[k - 1])
+        floor, flat_lo = _ratio_sq(spec, spec.noise_spectral_density)(
+            np.array([LAM_FLOOR, np.pi * 1e-9]))
+    if not math.isclose(floor, flat_lo, rel_tol=INTEGRAL_RTOL):
+        raise QuadratureError(
+            "the noise spectrum dominates the scaled signal spectrum down to "
+            f"lam = {LAM_FLOOR:g}, and the integrand is not flat there: no "
+            "crossover to anchor the integral",
+            info={"lam_floor": LAM_FLOOR, "n": spec.n})
+    return None
+
+
 def spectral_crossover(spec: ModelSpec) -> float | None:
     """Frequency where the scaled signal spectrum crosses the noise spectrum,
-    or None if the two never cross on (0, pi].
+    or None if the signal dominates down to 1e-30, or the noise dominates
+    down to LAM_FLOOR over an integrand that is flat there.
 
-    The first sign change on a geometric grid is narrowed by sectioning:
-    each step evaluates CROSSOVER_SECTIONS - 1 geometric points inside the
-    bracket in one call and keeps the first sub-bracket where the sign
-    changes, until no float lies strictly inside the bracket."""
+    The grid is geometric on [1e-30, pi].  If the noise dominates on all of
+    it, the grid goes on down by decades, CROSSOVER_DECADES per call, to the
+    first one where the signal dominates; QuadratureError is raised if there
+    is none down to LAM_FLOOR and the integrand is not flat below
+    pi * 1e-9, where ``fisher_integral`` would then treat it as flat.  The
+    first sign change on the grid is narrowed by sectioning: each step
+    evaluates CROSSOVER_SECTIONS - 1 geometric points inside the bracket in
+    one call and keeps the first sub-bracket where the sign changes, until
+    no float lies strictly inside the bracket."""
     pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
 
     def diff(lam):
@@ -99,13 +138,18 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
                 - spec.noise_spectral_density(lam))
 
     grid = np.geomspace(1e-30, np.pi, 601)
-    vals = diff(grid)
-    sign = np.sign(vals)
+    sign = np.sign(diff(grid))
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if idx.size == 0:
+    if idx.size:
+        lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
+        sign_lo = sign[idx[0]]  # every move of lo keeps this sign
+    elif sign[0] > 0:
         return None
-    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
-    sign_lo = sign[idx[0]]  # every move of lo keeps this sign
+    else:
+        bracket = _crossover_decades(spec, diff)
+        if bracket is None:
+            return None
+        (lo, hi), sign_lo = bracket, 1.0
     # geometric fractions of the bracket; they tend to k / SECTIONS as it
     # narrows, so the last steps visit every float inside it
     steps = np.arange(1, CROSSOVER_SECTIONS) / CROSSOVER_SECTIONS

@@ -6,12 +6,13 @@ eigenvalue form of the Fisher information."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, toeplitz as _sp_toeplitz
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dormqr, dsterf, dstevd, dsytrd, dsytrd_lwork, dtbtrs
 
 from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError, noise_symbol
 
@@ -132,7 +133,35 @@ def dn_matrix(g, n: int) -> np.ndarray:
     return (c * vals[None, :]) @ c
 
 
-@dataclass(frozen=True)
+def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,
+                               e: np.ndarray) -> np.ndarray:
+    """Eigenvectors, in descending eigenvalue order, of the symmetric matrix
+    that ``dsytrd(lower=1)`` reduced to the tridiagonal (d, e); ``refl`` is
+    the block of its output below the subdiagonal, ``c[1:, :n - 1]`` in
+    Fortran order, and ``tau`` the reflector scales.  Read-only, C-ordered.
+
+    The tridiagonal is solved by divide and conquer (LAPACK stevd, the
+    method of dsyevd), and its vectors z are mapped back by Q = diag(1, Q'):
+    Q' z[1:] is an ormqr over ``refl``, which is what ormtr does for lower
+    storage.  At most three n x n arrays are alive at once."""
+    _, z, info = dstevd(d, e, compute_v=1)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal eigenvectors did not converge (LAPACK info {info})")
+    n = d.size
+    z0, z1 = z[0, ::-1].copy(), np.asfortranarray(z[1:])
+    del z
+    lwork = int(dormqr("L", "N", refl, tau, z1, -1)[1][0])
+    z1, _, info = dormqr("L", "N", refl, tau, z1, lwork, overwrite_c=1)
+    if info != 0:
+        raise LinAlgError(f"eigenvector back-transform failed (LAPACK info {info})")
+    basis = np.empty((n, n))
+    basis[0] = z0
+    basis[1:] = z1[:, ::-1]
+    basis.flags.writeable = False
+    return basis
+
+
+@dataclass(frozen=True, eq=False)
 class WhitenedSystem:
     """Joint reduction of (Cov(x), Cov(y)): Cov(y) = A^t A with A upper
     triangular, and lam (descending) the eigenvalues of A^-t Cov(x) A^-1
@@ -143,14 +172,33 @@ class WhitenedSystem:
     a_band[kd + i - j, j] = A[i, j] for the band width kd, shape (kd + 1, n).
     The noise covariance is banded, so kd = min(K, n - 1) and A's entries
     beyond the band are exact zeros; every solve with A, in ``whiten`` and
-    in the transform, is a banded one."""
+    in the transform, is a banded one.
+
+    ``lam`` is computed when the system is built.  D is ``basis``: the
+    tridiagonal form that gave ``lam`` is kept until ``basis`` is first read,
+    which computes D once from it (under a lock, so threads that read it
+    together build it once) and then drops the tridiagonal form.  The exact
+    Fisher information reads only ``lam`` and never pays for D."""
     a_band: np.ndarray
-    basis: np.ndarray
     lam: np.ndarray
+    _tridiagonal: tuple | None = field(repr=False)    # (refl, tau, d, e) from dsytrd
+    _basis: np.ndarray | None = field(default=None, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def n(self) -> int:
         return self.lam.size
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The eigenbasis D, columns in the order of ``lam``; read-only."""
+        if self._basis is None:
+            with self._lock:
+                if self._basis is None:
+                    object.__setattr__(self, "_basis",
+                                       _tridiagonal_eigenvectors(*self._tridiagonal))
+                    object.__setattr__(self, "_tridiagonal", None)
+        return self._basis
 
     @property
     def a_factor(self) -> np.ndarray:
@@ -178,7 +226,8 @@ class WhitenedSystem:
         comes from a Cholesky factorisation, so its diagonal is positive and
         the solve cannot fail; non-finite data give non-finite output."""
         ws = [dtbtrs(self.a_band, z, uplo="U", trans="T")[0] for z in zs]
-        return [self.basis.T @ w for w in ws]
+        basis = self.basis
+        return [basis.T @ w for w in ws]
 
 
 def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
@@ -189,7 +238,9 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     Cov(y) is factorised densely, but only the band of its factor A is
     kept: M = A^-t Cov(x) A^-1 comes from two banded solves (LAPACK tbtrs)
     over n right-hand sides, W = A^-t Cov(x) and then A^-t W^t, in
-    O(n^2 kd) rather than O(n^3); then one symmetric eigendecomposition."""
+    O(n^2 kd) rather than O(n^3).  M is reduced once to tridiagonal form
+    (LAPACK sytrd); its eigenvalues ``lam`` come from that form at once
+    (sterf), and the eigenvectors only if ``basis`` is read."""
     try:
         a = cholesky(cov_y, lower=False)
     except LinAlgError as exc:
@@ -206,9 +257,25 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     m = dtbtrs(a_band, w.T, uplo="U", trans="T")[0]
     del w
     m = 0.5 * (m + m.T)
-    lam, vec = np.linalg.eigh(m)
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1].copy()
+    if n == 1:
+        # sytrd and sterf reject an empty off-diagonal
+        lam, tridiagonal, basis = m[0].copy(), None, np.ones((1, 1))
+        basis.flags.writeable = False
+    else:
+        # m is symmetric, so m.T is it in Fortran order and sytrd reduces it
+        # in place; the default workspace of n would leave sytrd unblocked
+        lwork = int(dsytrd_lwork(n, lower=1)[0])
+        c, d, e, tau, info = dsytrd(m.T, lower=1, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal reduction failed (LAPACK info {info})")
+        lam, info = dsterf(d, e)
+        if info != 0:
+            raise LinAlgError(f"eigenvalues did not converge (LAPACK info {info})")
+        lam = lam[::-1].copy()
+        # keep only the reflectors, in the contiguous block ormqr reads, so
+        # the first read of basis holds no copy of the reduced matrix
+        tridiagonal, basis = (np.asfortranarray(c[1:, :n - 1]), tau, d, e), None
+        del m, c
     if lam[0] < 0:
         raise NotPositiveDefiniteError("whitened signal covariance is negative definite")
     if lam[-1] < -NEG_EIG_TOL * max(lam[0], 0.0):
@@ -216,6 +283,6 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
             f"whitened signal covariance has eigenvalue {lam[-1]:.3e} below "
             f"-{NEG_EIG_TOL:g} * lambda_1")
     np.clip(lam, 0.0, None, out=lam)
-    for arr in (a_band, vec, lam):
+    for arr in (a_band, lam):
         arr.flags.writeable = False
-    return WhitenedSystem(a_band=a_band, basis=vec, lam=lam)
+    return WhitenedSystem(a_band=a_band, lam=lam, _tridiagonal=tridiagonal, _basis=basis)

@@ -163,16 +163,30 @@ def test_rate_scan_grid_beyond_int64(capsys, H):
     assert set(json.loads(err)) == {"slope_integral", "slope_closed_form"}
     rows = out.splitlines()[1:]
     assert len(rows) == 3
-    assert [int(r.split(",")[0]) for r in rows] == [int(1e20), int(1e30), int(1e40)]
+    assert [int(r.split(",")[0]) for r in rows] == [10 ** 20, 10 ** 30, 10 ** 40]
     for row in rows:
         _, integral, closed = map(float, row.split(","))
         assert integral / closed == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fisher_integral_crossover_below_grid_floor(capsys):
+    # at n = 1e80 the crossover lies below 1e-30; the integral must still
+    # match the closed form rather than miss by a factor 1e198
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "fisher", "--preset", "fbm-wn", "--H", "0.9",
+                               "--n", "1" + "0" * 80, "--method", "integral")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["integral"] == pytest.approx(payload["closed_form"], rel=1e-6)
 
 
 def test_rate_scan_log_grid_integers():
     assert _parse_n_grid("1e5:1e8:logsteps=4") == [100000, 1000000, 10000000, 100000000]
     assert _parse_n_grid("1e5:1e8:logsteps=7") == [
         100000, 316228, 1000000, 3162278, 10000000, 31622777, 100000000]
+    # decimal powers are exact ints, not the binary value of the float 1e30
+    assert _parse_n_grid("1e20:1e40:logsteps=3") == [10 ** 20, 10 ** 30, 10 ** 40]
 
 
 @pytest.mark.parametrize("argv", [

@@ -160,6 +160,34 @@ def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
     assert h == pytest.approx(float(spec.noise_spectral_density(lam_c)), rel=1e-9)
 
 
+def test_integral_crossover_below_grid_floor():
+    # the crossover lies near 3e-52, below the search grid's 1e-30: the grid
+    # goes on down by decades instead of anchoring at pi
+    spec = sf.fbm_wn_spec(10 ** 80, 0.9)
+    assert spectral_crossover(spec) < 1e-30
+    assert sf.fisher_integral(spec) == pytest.approx(
+        sf.fisher_closed_form(spec).closed_form, rel=1e-6)
+
+
+def test_integral_critical_ratio_keeps_falling_below_grid_floor():
+    # critical user spec: its crossover leaves the 1e-30 grid near n = 1e75;
+    # past it the integral / closed-form ratio still falls toward 1
+    def ratio(e):
+        spec = sf.user_spec(10 ** e, 0.1, 1.0, 1.0, 0, [1.0, 0.3, 0.1], -0.25,
+                            sf.SlowlyVaryingSpec("constant", 0.3))
+        return sf.fisher_integral(spec) / sf.fisher_closed_form(spec).closed_form
+
+    at_74 = ratio(74)
+    assert 1.0 < ratio(100) < at_74
+
+
+def test_crossover_search_raises_without_a_crossover():
+    # n^(-2 beta) = 1e-360 underflows: the noise dominates down to
+    # LAM_FLOOR, and the integrand there is not flat
+    with pytest.raises(sf.QuadratureError, match="no crossover"):
+        spectral_crossover(sf.fbm_wn_spec(10 ** 200, 0.9))
+
+
 def test_integral_integrated_preset_runs():
     spec = sf.integrated_fbm_spec(512, 0.1)
     val = sf.fisher_integral(spec)

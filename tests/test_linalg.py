@@ -251,6 +251,40 @@ def test_whiten_banded_build_matches_dense_solves(n, K, conv):
     assert np.array_equal(cov_x, before)
 
 
+@pytest.mark.parametrize("spec", [sf.fbm_wn_spec(257, 0.3), sf.integrated_fbm_spec(64, 0.1)],
+                         ids=["fbm-wn", "integrated-fbm"])
+def test_whiten_lam_does_not_depend_on_read_order(spec):
+    # lam comes from the tridiagonal form when the system is built, and the
+    # eigenvectors from the same form when first read: reading basis first
+    # leaves lam as it is
+    cov_x = spec.cov_x()
+    cov_y = sf.diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention)
+    basis_first = sf.whiten(cov_x, cov_y)
+    basis = basis_first.basis
+    lam_first = sf.whiten(cov_x, cov_y)
+    lam = lam_first.lam.copy()
+    assert np.array_equal(basis_first.lam, lam)
+    assert np.array_equal(lam_first.basis, basis)
+    assert np.abs(basis.T @ basis - np.eye(spec.n)).max() <= 1e-13
+
+
+def test_fisher_exact_reads_no_eigenvectors(monkeypatch):
+    # the exact Fisher information needs lam only; the eigenvectors are
+    # built on the first read of basis, once, whoever reads it
+    calls = []
+    build = sf.linalg._tridiagonal_eigenvectors
+    monkeypatch.setattr(sf.linalg, "_tridiagonal_eigenvectors",
+                        lambda *args: calls.append(1) or build(*args))
+    spec = sf.fbm_wn_spec(96, 0.7)
+    sf.whitened_system.cache_clear()
+    cold = sf.fisher_exact(spec)
+    assert not calls
+    fresh = sf.whiten(spec.cov_x(), sf.diff_cov(spec.n, spec.K, spec.tau))
+    assert fresh.basis is fresh.basis and len(calls) == 1
+    assert sf.fisher_exact(spec, system=fresh) == cold
+    assert sf.fisher_exact(spec, system=sf.whitened_system(spec)) == cold
+
+
 def test_whiten_rejects_indefinite_noise():
     with pytest.raises(sf.NotPositiveDefiniteError):
         sf.whiten(np.eye(3), np.diag([1.0, -1.0, 1.0]))

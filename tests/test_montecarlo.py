@@ -102,10 +102,19 @@ def test_run_study_deterministic():
     assert s1.mse == s2.mse and s1.normalized == s2.normalized
 
 
-def test_run_study_worker_count_invariance():
+def test_run_study_worker_count_invariance(monkeypatch):
+    # threads first, on a cleared cache: the workers race to the first read
+    # of the eigenbasis, which is built once, and the study equals a later
+    # serial one
+    calls = []
+    build = sf.linalg._tridiagonal_eigenvectors
+    monkeypatch.setattr(sf.linalg, "_tridiagonal_eigenvectors",
+                        lambda *args: calls.append(1) or build(*args))
     spec = sf.fbm_wn_spec(512, 0.5)
-    serial = sf.run_study(spec, reps=12, seed=3)
+    sf.whitened_system.cache_clear()
     threaded = sf.run_study(spec, reps=12, seed=3, workers=4)
+    serial = sf.run_study(spec, reps=12, seed=3)
+    assert len(calls) == 1
     assert np.array_equal(serial.values, threaded.values)
     assert serial.mse == threaded.mse
 
