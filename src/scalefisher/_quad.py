@@ -5,7 +5,6 @@ ray ``k0 + i y``."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +53,7 @@ def _flat_rule(edges):
 
 # e^(-lam y) is below 5e-18 past lam y = _DECAY_REACH, so the first integral
 # stops there; its panels are [0, 1], then _PANELS_PER_DECADE geometric ones
-# per decade of y
+# per decade of y, with edges at the powers 10^(k / _PANELS_PER_DECADE)
 _DECAY_REACH = 40.0
 _PANELS_PER_DECADE = 3
 # the second integrand is below 4e-17 |a| past y = 12, for every lam <= pi;
@@ -76,23 +75,33 @@ def cos_tail_sum(p: float, lam, k_start: int, amp):
 
     It holds for 0 < lam < 2 pi when a is analytic and power-bounded on
     Re x >= k0, so ``amp`` must accept complex x there.  Neither integrand
-    oscillates.  All lam share one node set, reaching y = 40 / min(lam), so
-    the first integral is one real matrix of exponentials times two real
+    oscillates.  The first integral's panels lie on one fixed geometric
+    lattice, and each lam takes the whole panels up to y = 40 / lam, so its
+    nodes, and up to rounding its value, do not depend on the other lam in
+    the call.  The lam needing the same panel count form one group: a real
+    matrix of exponentials over a prefix of the shared nodes, times two real
     vectors.
     """
     lam = np.asarray(lam, dtype=float)
-    reach = _DECAY_REACH / lam.min()
-    n_geo = math.ceil(_PANELS_PER_DECADE * math.log10(reach))
-    y1, w1 = _flat_rule(np.concatenate([[0.0], np.geomspace(1.0, reach, n_geo + 1)]))
+    panels = np.ceil(_PANELS_PER_DECADE * np.log10(_DECAY_REACH / lam)).astype(int)
+    n_geo = int(panels.max())
+    y1, w1 = _flat_rule(np.concatenate(
+        [[0.0], 10.0 ** (np.arange(n_geo + 1) / _PANELS_PER_DECADE)]))
     y2, w2 = _flat_rule(_BOSE_EDGES)
     x = np.concatenate([[0.0], y1, y2]) * 1j + k_start
     a = x ** (-p) * amp(x)
     a0, a1, a2 = a[0].real, a[1:1 + y1.size], a[1 + y1.size:]
-    decay = np.outer(-lam, y1)
-    np.exp(decay, out=decay)
+    # columns: the weighted imaginary and real parts of a along the ray
+    wa1 = np.stack([w1 * a1.imag, w1 * a1.real], axis=1)
+    first = np.empty((lam.size, 2))
+    order = np.argsort(panels, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(panels[order])) + 1):
+        m = NODES * (1 + int(panels[group[0]]))
+        decay = np.outer(-lam[group], y1[:m])
+        np.exp(decay, out=decay)
+        first[group] = decay @ wa1[:m]
     w2 = w2 / np.expm1(2.0 * np.pi * y2)
     ly = np.outer(lam, y2)
-    re = (0.5 * a0 - decay @ (w1 * a1.imag)
-          - 2.0 * (np.cosh(ly) @ (w2 * a2.imag)))
-    im = decay @ (w1 * a1.real) - 2.0 * (np.sinh(ly) @ (w2 * a2.real))
+    re = 0.5 * a0 - first[:, 0] - 2.0 * (np.cosh(ly) @ (w2 * a2.imag))
+    im = first[:, 1] - 2.0 * (np.sinh(ly) @ (w2 * a2.real))
     return re * np.cos(k_start * lam) - im * np.sin(k_start * lam)

@@ -26,7 +26,7 @@ CROSSOVER_SECTIONS = 32  # sub-brackets per step of the crossover search
 CROSSOVER_DECADES = 10   # decades per call when the crossover lies below 1e-30
 # lowest frequency the spectral route evaluates: the flat piece of the
 # integral starts no lower, and the crossover search stops here.  The
-# user-sequence tail overflows its node range below about 2e-307.
+# user-sequence tail overflows its node range below about 4e-307.
 LAM_FLOOR = 1e-300
 
 
@@ -62,8 +62,11 @@ def fisher_exact(spec: ModelSpec, system: WhitenedSystem | None = None) -> float
 # ---------------------------------------------------------------------------
 
 def _ratio_sq(spec: ModelSpec, noise):
-    """lam -> f^2/h^2 = 1/(pref + noise/f)^2 for the noise spectrum ``noise``,
-    stable where f is very large or tiny, and 0 where f vanishes."""
+    """lam -> (1 + noise / (pref f))^-2, pref = sigma^2 n^(-2 beta), for the
+    noise spectrum ``noise``: the integrand f^2 / h^2 divided by its plateau
+    1 / pref^2, which the callers carry in n / (2 pi sigma^4) instead.  It
+    lies in [0, 1], so a plateau beyond the float range (n^(4 beta) above
+    1e308) cannot overflow; it is 0 where f vanishes or pref f underflows."""
     pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
 
     def ratio_sq(lam):
@@ -72,28 +75,42 @@ def _ratio_sq(spec: ModelSpec, noise):
         out = np.zeros_like(fv)
         pos = fv > 0
         with np.errstate(divide="ignore", over="ignore"):
-            out[pos] = 1.0 / (pref + nv[pos] / fv[pos]) ** 2
+            out[pos] = 1.0 / (1.0 + nv[pos] / (pref * fv[pos])) ** 2
         return out
 
     return ratio_sq
 
 
-def _panel_sum(ratio_sq, anchor: float, m: int) -> float:
-    """int_0^pi ratio_sq: m log-spaced Gauss panels on each side of the
-    anchor (one side when it is pi), plus the flat piece below anchor * 1e-9."""
+def _integral_scale(spec: ModelSpec) -> float:
+    """n / (2 pi sigma^4): the Fisher information per unit of int_0^pi
+    ``_ratio_sq``."""
+    return float(spec.n) / (2.0 * np.pi * spec.sigma ** 4)
+
+
+def _flat_piece(ratio_sq, anchor: float) -> tuple[float, float]:
+    """(lam_lo, int_0^lam_lo ratio_sq) with lam_lo = anchor * 1e-9 (no lower
+    than LAM_FLOOR), where the integrand is flat: one evaluation per
+    integral, shared by its refinements."""
     lam_lo = max(anchor * 1e-9, LAM_FLOOR)
+    return lam_lo, float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
+
+
+def _panel_sum(ratio_sq, anchor: float, lam_lo: float, m: int) -> float:
+    """int_lam_lo^pi ratio_sq: m log-spaced Gauss panels on each side of the
+    anchor (one side when it is pi)."""
     edges = [np.geomspace(lam_lo, anchor, m + 1)]
     if anchor < np.pi:
         edges.append(np.geomspace(anchor, np.pi, m + 1)[1:])
-    acc = panel_integrate(ratio_sq, np.concatenate(edges))
-    return acc + float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
+    return panel_integrate(ratio_sq, np.concatenate(edges))
 
 
 def _crossover_decades(spec: ModelSpec, diff) -> tuple[float, float] | None:
     """Bracket (10^-k, 10^(1-k)) of a crossover below 1e-30, for ``diff``
     (scaled signal minus noise spectrum) negative at 1e-30: the first decade
     down where the signal dominates.  None if there is none down to
-    LAM_FLOOR but the integrand is flat, so anchoring at pi is exact.
+    LAM_FLOOR but the integrand is flat and nonzero, so anchoring at pi is
+    exact; an integrand of 0 there means the scaled signal spectrum
+    underflowed, which QuadratureError reports rather than integrate it.
 
     Far below 1e-30 the preset spectra overflow to inf where the signal
     dominates, and give nan where both spectra underflow; nan counts as
@@ -108,11 +125,11 @@ def _crossover_decades(spec: ModelSpec, diff) -> tuple[float, float] | None:
                 return 10.0 ** float(exps[k]), 10.0 ** float(exps[k - 1])
         floor, flat_lo = _ratio_sq(spec, spec.noise_spectral_density)(
             np.array([LAM_FLOOR, np.pi * 1e-9]))
-    if not math.isclose(floor, flat_lo, rel_tol=INTEGRAL_RTOL):
+    if floor == 0.0 or not math.isclose(floor, flat_lo, rel_tol=INTEGRAL_RTOL):
         raise QuadratureError(
             "the noise spectrum dominates the scaled signal spectrum down to "
-            f"lam = {LAM_FLOOR:g}, and the integrand is not flat there: no "
-            "crossover to anchor the integral",
+            f"lam = {LAM_FLOOR:g}, and the integrand is not flat there (or the "
+            "scaled signal spectrum underflows): no crossover to anchor the integral",
             info={"lam_floor": LAM_FLOOR, "n": spec.n})
     return None
 
@@ -170,19 +187,22 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
 
 def fisher_integral(spec: ModelSpec) -> float:
     """Spectral-integral Fisher approximation
-    (n^(1-4 beta) / 2 pi) * int_0^pi f^2 / h_n^2.
+    (n^(1-4 beta) / 2 pi) * int_0^pi f^2 / h_n^2, computed as
+    (n / 2 pi sigma^4) * int_0^pi (1 + noise / (sigma^2 n^(-2 beta) f))^-2,
+    whose integrand is at most 1 at every n.
 
     Adaptive log-spaced panels anchored at the signal/noise crossover, where
-    the integrand drops off the plateau sigma^-4 n^(4 beta); panel counts are
-    doubled, up to MAX_PANELS, until two refinements agree to INTEGRAL_RTOL
-    relative.
+    the integrand drops off its plateau; panel counts are doubled, up to
+    MAX_PANELS, until two refinements agree to INTEGRAL_RTOL relative.  The
+    flat piece below anchor * 1e-9 is evaluated once and added to each.
     """
     ratio_sq = _ratio_sq(spec, spec.noise_spectral_density)
     anchor = spectral_crossover(spec) or np.pi
-    prev = _panel_sum(ratio_sq, anchor, 64)
+    lam_lo, flat = _flat_piece(ratio_sq, anchor)
+    prev = _panel_sum(ratio_sq, anchor, lam_lo, 64) + flat
     m = 128
     while m <= MAX_PANELS:
-        cur = _panel_sum(ratio_sq, anchor, m)
+        cur = _panel_sum(ratio_sq, anchor, lam_lo, m) + flat
         if abs(cur - prev) <= INTEGRAL_RTOL * max(abs(cur), 1e-300):
             break
         prev = cur
@@ -192,18 +212,20 @@ def fisher_integral(spec: ModelSpec) -> float:
             "Fisher spectral integral did not converge",
             info={"last": prev, "previous_panels": m // 2, "rtol": INTEGRAL_RTOL,
                   "crossover": anchor, "n": spec.n})
-    return float(spec.n) ** (1.0 - 4.0 * spec.beta) / (2.0 * np.pi) * cur
+    return _integral_scale(spec) * cur
 
 
 def fisher_integral_bracket(spec: ModelSpec) -> tuple[float, float]:
     """Lower/upper Fisher values from the elementary noise-spectrum bounds
     4^-K tau^2 lam^(2K) <= noise <= tau^2 lam^(2K)."""
     anchor = spectral_crossover(spec) or np.pi
-    scale = float(spec.n) ** (1.0 - 4.0 * spec.beta) / (2.0 * np.pi)
+    scale = _integral_scale(spec)
 
     def value(fac: float) -> float:
         noise = lambda lam: fac * spec.tau ** 2 * np.asarray(lam) ** (2 * spec.K)
-        return scale * _panel_sum(_ratio_sq(spec, noise), anchor, 512)
+        ratio_sq = _ratio_sq(spec, noise)
+        lam_lo, flat = _flat_piece(ratio_sq, anchor)
+        return scale * (_panel_sum(ratio_sq, anchor, lam_lo, 512) + flat)
 
     # the larger noise bound gives the smaller information
     return value(1.0), value(4.0 ** (-spec.K))

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import binom, gamma as gamma_fn, zeta
+from scipy.special import binom, zeta
 
 from ._quad import QuadratureError, cos_tail_sum
 
@@ -173,6 +174,15 @@ def integrated_fbm_boundary_cov(H: float, n: int) -> np.ndarray:
     return np.concatenate([[1.0 / (2.0 * H + 2.0)], row])
 
 
+# one entry per Hurst index in use: a rate scan over an H grid holds a few dozen
+@lru_cache(maxsize=64)
+def _lattice_coefficients(s: float) -> tuple[float, ...]:
+    """2 C(s+k-1, k) zeta(s+k, 2) for k = 0, 2, ..., 2 (LATTICE_TERMS - 1):
+    the even Taylor coefficients of zeta(s, 2 + q) + zeta(s, 2 - q) in q."""
+    k = np.arange(0.0, 2.0 * LATTICE_TERMS, 2.0)
+    return tuple((2.0 * binom(s + k - 1.0, k) * zeta(s + k, 2.0)).tolist())
+
+
 def _folded_lattice(s: float, q):
     """Folded lattice sum sum_{j in Z} |j + q|^(-s) = zeta(s, q) + zeta(s, 1 - q)
     for s > 1 and q in (0, 1/2].
@@ -180,13 +190,14 @@ def _folded_lattice(s: float, q):
     The terms j = 0, 1, -1 are powers; the rest are zeta(s, 2 + q) +
     zeta(s, 2 - q), whose Taylor series in the shift (DLMF 25.11.10) keeps
     the even orders only: 2 sum_{k even} C(s+k-1, k) zeta(s+k, 2) q^k, summed
-    by Horner in q^2.  Every term is positive, so nothing cancels.  The
-    terms grow with q and s: at q = 1/2 and s < 3.5 (the largest preset s,
-    the integrated preset's 2H + 3) the first omitted one,
-    k = 2 LATTICE_TERMS, is below 2e-17 and each later one is below 0.08
-    times the one before, against a sum above q^-s >= 2."""
-    k = np.arange(0.0, 2.0 * LATTICE_TERMS, 2.0)
-    coef = 2.0 * binom(s + k - 1.0, k) * zeta(s + k, 2.0)
+    by Horner in q^2.  Its coefficients depend on s alone, so they are built
+    once per s (``_lattice_coefficients``, a small cache of tuples).  Every
+    term is positive, so nothing cancels.  The terms grow with q and s: at
+    q = 1/2 and s < 3.5 (the largest preset s, the integrated preset's
+    2H + 3) the first omitted one, k = 2 LATTICE_TERMS, is below 2e-17 and
+    each later one is below 0.08 times the one before, against a sum above
+    q^-s >= 2."""
+    coef = _lattice_coefficients(float(s))
     q = np.asarray(q, dtype=float)
     q2 = q * q
     series = np.full_like(q2, coef[-1])
@@ -340,8 +351,10 @@ class ModelSpec:
     # -- spectral densities -------------------------------------------------
 
     def _check_lambda(self, lam):
+        """lam as a float array; DomainError unless every entry is in (0, pi].
+        A nan fails both comparisons, since the min or max it yields is nan."""
         lam = np.asarray(lam, dtype=float)
-        if np.any(lam <= 0) or np.any(lam > np.pi):
+        if lam.size and not (lam.min() > 0.0 and lam.max() <= np.pi):
             raise DomainError("frequency must lie in (0, pi]")
         return lam
 
@@ -399,10 +412,12 @@ class ModelSpec:
         s = 2.0 * H + (3.0 if integrated else 1.0)
         lattice = _folded_lattice(s, lam / (2.0 * np.pi))
         sin2 = np.sin(lam / 2.0) ** 2
-        amp = 2.0 * np.sin(np.pi * H) * gamma_fn(2.0 * H + 1.0) * 2.0 * sin2
+        # the scalar factor, by math: fgn's 1 - cos lam is 2 sin^2(lam/2)
+        amp = (self.x_cov.scale * (16.0 if integrated else 4.0) * math.sin(math.pi * H)
+               * math.gamma(2.0 * H + 1.0) * (2.0 * math.pi) ** -s)
         if integrated:
-            amp = amp * 4.0 * sin2
-        return self.x_cov.scale * (amp * (2.0 * np.pi) ** (-s) * lattice)
+            sin2 = sin2 * sin2
+        return amp * sin2 * lattice
 
     def spectral_density_f(self, lam):
         """f by the model's definition: folded form for presets, series for user."""

@@ -181,6 +181,18 @@ def test_fisher_integral_crossover_below_grid_floor(capsys):
     assert payload["integral"] == pytest.approx(payload["closed_form"], rel=1e-6)
 
 
+def test_fisher_integral_plateau_beyond_float_range(capsys):
+    # at n = 1e100 the integrand's plateau n^(4 beta) = 1e360 overflowed and
+    # the integral exited 3 with "did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "fisher", "--preset", "fbm-wn", "--H", "0.9",
+                               "--n", "1" + "0" * 100, "--method", "integral")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["integral"] == pytest.approx(payload["closed_form"], rel=1e-6)
+
+
 def test_rate_scan_log_grid_integers():
     assert _parse_n_grid("1e5:1e8:logsteps=4") == [100000, 1000000, 10000000, 100000000]
     assert _parse_n_grid("1e5:1e8:logsteps=7") == [

@@ -3,6 +3,7 @@ closed-form constants and their cross-identities, regime dispatch, scans."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,9 +156,38 @@ def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
     monkeypatch.setattr(sf.ModelSpec, "spectral_density_f", counted)
     spec = sf.fbm_wn_spec(10 ** 6, 0.3)
     lam_c = spectral_crossover(spec)
-    assert len(calls) <= 12
+    assert 0 < len(calls) <= 12
     h = spec.sigma ** 2 * 1e6 ** (-2 * spec.beta) * orig(spec, lam_c)
     assert h == pytest.approx(float(spec.noise_spectral_density(lam_c)), rel=1e-9)
+
+
+def test_integral_evaluates_spectrum_sparingly(monkeypatch):
+    # the crossover search, then two refinements that share one evaluation
+    # of the flat piece below anchor * 1e-9
+    calls = []
+    orig = sf.ModelSpec.spectral_density_f
+
+    def counted(self, lam):
+        calls.append(np.size(lam))
+        return orig(self, lam)
+
+    monkeypatch.setattr(sf.ModelSpec, "spectral_density_f", counted)
+    sf.fisher_integral(sf.fbm_wn_spec(10 ** 6, 0.3))
+    assert 0 < len(calls) <= 14
+    assert calls.count(1) == 1
+
+
+@pytest.mark.parametrize("e, crossover_below", [(100, 1e-60), (150, 1e-90)])
+def test_integral_plateau_beyond_float_range(e, crossover_below):
+    # n^(4 beta) = 1e360 and 1e540: the plateau sigma^-4 n^(4 beta) of
+    # f^2 / h^2 is past the float range, the integrand scaled by it is not
+    spec = sf.fbm_wn_spec(10 ** e, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert spectral_crossover(spec) < crossover_below
+        integral = sf.fisher_integral(spec)
+        closed = sf.fisher_closed_form(spec).closed_form
+    assert integral == pytest.approx(closed, rel=1e-6)
 
 
 def test_integral_crossover_below_grid_floor():

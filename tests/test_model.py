@@ -10,7 +10,7 @@ import pytest
 from scipy.special import gamma as gamma_fn, zeta
 
 import scalefisher as sf
-from scalefisher._quad import gauss_nodes
+from scalefisher._quad import cos_tail_sum, gauss_nodes
 from scalefisher.model import _folded_lattice, integrated_fbm_boundary_cov
 
 # ---------------------------------------------------------------------------
@@ -444,11 +444,38 @@ def test_spectral_density_z():
 
 def test_spectrum_domain_errors():
     spec = sf.fbm_wn_spec(64, 0.6)
-    for bad in (0.0, -0.5, np.pi + 1e-9):
+    for bad in (0.0, -0.5, np.pi + 1e-9, np.nan):
         with pytest.raises(sf.DomainError):
             spec.spectral_density_x(bad)
         with pytest.raises(sf.DomainError):
             spec.spectral_density_z(bad)
+    # a nan among valid frequencies: presets gave a nan density, user
+    # sequences a bare ValueError from the tail
+    user = sf.user_spec(16, beta=0.5, sigma=1.0, tau=1.0, K=1,
+                        gamma_values=[1.0, 0.2], alpha=-0.2,
+                        ell=sf.SlowlyVaryingSpec("constant", 0.3))
+    for model in (spec, sf.integrated_fbm_spec(64, 0.1), user):
+        for bad in ([np.nan, 1.0], [1.0, np.nan, np.pi]):
+            with pytest.raises(sf.DomainError, match="frequency"):
+                model.spectral_density_f(bad)
+            with pytest.raises(sf.DomainError, match="frequency"):
+                model.noise_spectral_density(bad)
+
+
+@pytest.mark.parametrize("ell", [sf.SlowlyVaryingSpec("constant", 0.5),
+                                 sf.SlowlyVaryingSpec("log_power", 0.7, 0.5)],
+                         ids=["constant", "log_power"])
+def test_tail_sum_of_many_frequencies_equals_single_calls(ell):
+    # each frequency takes its own whole panels of the shared node lattice,
+    # so one call over 1e-300 .. pi gives every frequency's single-call value
+    spec = sf.user_spec(16, beta=0.5, sigma=1.0, tau=1.0, K=1,
+                        gamma_values=[1.0, 0.2], alpha=-0.2, ell=ell)
+    lam = np.geomspace(1e-300, np.pi, 201)
+    batch = cos_tail_sum(0.6, lam, 3, spec.amplitude)
+    single = np.array([cos_tail_sum(0.6, lam[i:i + 1], 3, spec.amplitude)[0]
+                       for i in range(lam.size)])
+    assert np.all(np.isfinite(batch))
+    np.testing.assert_allclose(batch, single, rtol=2e-15, atol=0)
 
 
 def test_user_sequence_tail_extension():
