@@ -9,7 +9,6 @@ from .estimator import (
     estimate,
     make_split,
     oracle_estimate,
-    partial_fisher,
 )
 from .fisher import (
     FisherReport,
@@ -28,12 +27,8 @@ from .linalg import (
     WhitenedSystem,
     cosine_transform,
     dct_basis,
-    dct_diagonalize_noise,
     dct_nodes,
     diff_cov,
-    dn_matrix,
-    noise_eigenvalues,
-    toeplitz,
     whiten,
 )
 from .model import (

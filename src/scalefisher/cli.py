@@ -155,19 +155,33 @@ def _grid_int(v: float) -> int:
     return int(round(v))
 
 
+def _grid_point(text: str) -> int:
+    """A sample size of --n-grid as an exact int: an integer literal by int,
+    a float literal that is a whole number by ``_grid_int``."""
+    try:
+        n = int(text)
+    except ValueError:
+        v = _number("--n-grid", text)
+        n = _grid_int(v) if v.is_integer() and v >= 1 else None
+    if n is None or n < 1:
+        raise DomainError(f"--n-grid: {text!r} is not a positive whole number")
+    return n
+
+
 def _parse_n_grid(text: str) -> list[int]:
     """Grid syntax: 'n1,n2,...' or 'lo:hi:logsteps=K'."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3 or not parts[2].startswith("logsteps="):
             raise DomainError(f"--n-grid: cannot parse {text!r}")
-        lo, hi = _number("--n-grid", parts[0]), _number("--n-grid", parts[1])
+        lo, hi = _grid_point(parts[0]), _grid_point(parts[1])
         steps = _number("--n-grid", parts[2].split("=", 1)[1], int)
-        if steps < 2 or lo <= 0 or hi <= lo:
+        if steps < 2 or hi <= lo:
             raise DomainError(f"--n-grid: invalid bounds in {text!r}")
         # Python ints: int64 would overflow beyond 9.2e18
-        return sorted({_grid_int(v) for v in np.geomspace(lo, hi, steps)})
-    grid = [int(_number("--n-grid", v)) for v in text.split(",") if v.strip()]
+        inner = np.geomspace(float(lo), float(hi), steps)[1:-1]
+        return sorted({lo, hi, *(_grid_int(v) for v in inner)})
+    grid = [_grid_point(v) for v in text.split(",") if v.strip()]
     if not grid:
         raise DomainError(f"--n-grid: {text!r} lists no sample size")
     return grid
@@ -340,6 +354,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        # a float out of range: sigma^4 underflowing to 0, or a power past 1e308
+        sys.stderr.write(f"numerical error: a value left the float range: {exc}\n")
         return EXIT_NUMERICAL
 
 

@@ -27,31 +27,23 @@ class InsufficientInformation(RuntimeError):
     """Total information at unit scale is too small to support the split."""
 
 
-def partial_fisher(u: float, indices, lam: np.ndarray, n: int, beta: float) -> float:
-    """Information mass of an index subset at plug-in value u:
-    (1/2) sum_{i in B} lam_i^2 n^(-4 beta) / (u lam_i n^(-2 beta) + 1)^2."""
-    if u <= 0:
-        raise DomainError("plug-in value must be positive")
-    idx = np.asarray(indices, dtype=int)
-    return information_sum(u, lam[idx], n, beta)
-
-
 @dataclass(frozen=True)
 class SplitPlan:
-    """Prefix split of the descending-eigenvalue order.
+    """Prefix split of the descending-eigenvalue order: the prefix a_n is
+    the first k of the n coordinates, its complement the rest.
 
-    The prefix a_n collects information just past sqrt(I1_n), so its share of
+    The prefix collects information just past sqrt(I1_n), so its share of
     the total vanishes asymptotically while still growing without bound."""
-    a_n: np.ndarray
-    a_n_c: np.ndarray
+    k: int
+    n: int
     i1_an: float
     i1_n: float
     delta_n: float
 
     def summary(self) -> dict:
         return {
-            "split_size": int(self.a_n.size),
-            "complement_size": int(self.a_n_c.size),
+            "split_size": self.k,
+            "complement_size": self.n - self.k,
             "I1_An": self.i1_an,
             "I1_n": self.i1_n,
             "delta_n": self.delta_n,
@@ -74,9 +66,7 @@ def make_split(lam: np.ndarray, n: int, beta: float) -> SplitPlan:
     k_star = min(k_star, lam.size - 1)  # keep the complement nonempty
     i1_an = float(cum[k_star - 1])
     delta_n = float(np.clip(i1_an ** (-0.125), 0.0, 1.0))
-    return SplitPlan(
-        a_n=np.arange(k_star), a_n_c=np.arange(k_star, lam.size),
-        i1_an=i1_an, i1_n=i1_n, delta_n=delta_n)
+    return SplitPlan(k=k_star, n=lam.size, i1_an=i1_an, i1_n=i1_n, delta_n=delta_n)
 
 
 @dataclass(frozen=True)
@@ -159,12 +149,7 @@ def oracle_estimate(z: np.ndarray, system: WhitenedSystem, spec: ModelSpec) -> f
     """Oracle estimator using the true sigma^2 in the weights (testing
     baseline; unbiased with variance equal to the inverse information)."""
     w = information_weights(system.lam, spec.n, spec.beta)
-    return _oracle_from_squares(system.transform(z) ** 2, w, spec)
-
-
-def _oracle_from_squares(z2: np.ndarray, w: np.ndarray, spec: ModelSpec) -> float:
-    """``oracle_estimate`` from the squared transformed data z2."""
-    return _weighted_sum(z2, w, spec.sigma ** 2)
+    return _weighted_sum(system.transform(z) ** 2, w, spec.sigma ** 2)
 
 
 def estimate(z: np.ndarray, spec: ModelSpec,
@@ -193,10 +178,9 @@ def _estimate_from_squares(z2: np.ndarray, w: np.ndarray, split: SplitPlan,
                            system: WhitenedSystem, spec: ModelSpec) -> EstimateResult:
     """``estimate`` from the squared transformed data z2, with the weights
     and split of ``system`` built once by the caller."""
-    k = split.a_n.size  # the prefix a_n is arange(k), its complement the rest
-    v = _weighted_sum(z2[:k], w[:k], 1.0)
+    v = _weighted_sum(z2[:split.k], w[:split.k], 1.0)
     sigma2_tilde = float(np.clip(v, split.delta_n, 1.0 / split.delta_n))
-    two_stage = _weighted_sum(z2[k:], w[k:], sigma2_tilde)
+    two_stage = _weighted_sum(z2[split.k:], w[split.k:], sigma2_tilde)
     if not np.isfinite(two_stage):
         raise DomainError("estimator produced a non-finite value")
     start = two_stage if two_stage > 0.0 else sigma2_tilde

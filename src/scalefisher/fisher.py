@@ -61,17 +61,17 @@ def fisher_exact(spec: ModelSpec, system: WhitenedSystem | None = None) -> float
 # spectral-integral approximation
 # ---------------------------------------------------------------------------
 
-def _ratio_sq(spec: ModelSpec, noise):
-    """lam -> (1 + noise / (pref f))^-2, pref = sigma^2 n^(-2 beta), for the
-    noise spectrum ``noise``: the integrand f^2 / h^2 divided by its plateau
-    1 / pref^2, which the callers carry in n / (2 pi sigma^4) instead.  It
-    lies in [0, 1], so a plateau beyond the float range (n^(4 beta) above
-    1e308) cannot overflow; it is 0 where f vanishes or pref f underflows."""
+def _ratio_sq(spec: ModelSpec):
+    """lam -> (1 + noise / (pref f))^-2, pref = sigma^2 n^(-2 beta): the
+    integrand f^2 / h^2 divided by its plateau 1 / pref^2, which
+    ``fisher_integral`` carries in n / (2 pi sigma^4) instead.  It lies in
+    [0, 1], so a plateau beyond the float range (n^(4 beta) above 1e308)
+    cannot overflow; it is 0 where f vanishes or pref f underflows."""
     pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
 
     def ratio_sq(lam):
         fv = np.asarray(spec.spectral_density_f(lam), dtype=float)
-        nv = noise(lam)
+        nv = spec.noise_spectral_density(lam)
         out = np.zeros_like(fv)
         pos = fv > 0
         with np.errstate(divide="ignore", over="ignore"):
@@ -79,20 +79,6 @@ def _ratio_sq(spec: ModelSpec, noise):
         return out
 
     return ratio_sq
-
-
-def _integral_scale(spec: ModelSpec) -> float:
-    """n / (2 pi sigma^4): the Fisher information per unit of int_0^pi
-    ``_ratio_sq``."""
-    return float(spec.n) / (2.0 * np.pi * spec.sigma ** 4)
-
-
-def _flat_piece(ratio_sq, anchor: float) -> tuple[float, float]:
-    """(lam_lo, int_0^lam_lo ratio_sq) with lam_lo = anchor * 1e-9 (no lower
-    than LAM_FLOOR), where the integrand is flat: one evaluation per
-    integral, shared by its refinements."""
-    lam_lo = max(anchor * 1e-9, LAM_FLOOR)
-    return lam_lo, float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
 
 
 def _panel_sum(ratio_sq, anchor: float, lam_lo: float, m: int) -> float:
@@ -112,19 +98,17 @@ def _crossover_decades(spec: ModelSpec, diff) -> tuple[float, float] | None:
     exact; an integrand of 0 there means the scaled signal spectrum
     underflowed, which QuadratureError reports rather than integrate it.
 
-    Far below 1e-30 the preset spectra overflow to inf where the signal
-    dominates, and give nan where both spectra underflow; nan counts as
-    noise-dominated."""
+    Where the scaled signal and the noise spectrum both underflow to 0, the
+    spectra's ratio is nan, and nan counts as noise-dominated."""
     exps = np.arange(-30, round(math.log10(LAM_FLOOR)) - 1, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         for start in range(1, exps.size, CROSSOVER_DECADES):
             decades = 10.0 ** exps[start:start + CROSSOVER_DECADES]
             above = np.nonzero(diff(decades) > 0)[0]
             if above.size:
                 k = start + int(above[0])
                 return 10.0 ** float(exps[k]), 10.0 ** float(exps[k - 1])
-        floor, flat_lo = _ratio_sq(spec, spec.noise_spectral_density)(
-            np.array([LAM_FLOOR, np.pi * 1e-9]))
+        floor, flat_lo = _ratio_sq(spec)(np.array([LAM_FLOOR, np.pi * 1e-9]))
     if floor == 0.0 or not math.isclose(floor, flat_lo, rel_tol=INTEGRAL_RTOL):
         raise QuadratureError(
             "the noise spectrum dominates the scaled signal spectrum down to "
@@ -194,11 +178,16 @@ def fisher_integral(spec: ModelSpec) -> float:
     Adaptive log-spaced panels anchored at the signal/noise crossover, where
     the integrand drops off its plateau; panel counts are doubled, up to
     MAX_PANELS, until two refinements agree to INTEGRAL_RTOL relative.  The
-    flat piece below anchor * 1e-9 is evaluated once and added to each.
+    flat piece below anchor * 1e-9 (no lower than LAM_FLOOR) is evaluated
+    once and added to each.  DomainError at sigma = 0, where the scaling
+    n / (2 pi sigma^4) is undefined.
     """
-    ratio_sq = _ratio_sq(spec, spec.noise_spectral_density)
+    if spec.sigma == 0:
+        raise DomainError("the spectral integral needs sigma > 0")
+    ratio_sq = _ratio_sq(spec)
     anchor = spectral_crossover(spec) or np.pi
-    lam_lo, flat = _flat_piece(ratio_sq, anchor)
+    lam_lo = max(anchor * 1e-9, LAM_FLOOR)
+    flat = float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
     prev = _panel_sum(ratio_sq, anchor, lam_lo, 64) + flat
     m = 128
     while m <= MAX_PANELS:
@@ -212,23 +201,7 @@ def fisher_integral(spec: ModelSpec) -> float:
             "Fisher spectral integral did not converge",
             info={"last": prev, "previous_panels": m // 2, "rtol": INTEGRAL_RTOL,
                   "crossover": anchor, "n": spec.n})
-    return _integral_scale(spec) * cur
-
-
-def fisher_integral_bracket(spec: ModelSpec) -> tuple[float, float]:
-    """Lower/upper Fisher values from the elementary noise-spectrum bounds
-    4^-K tau^2 lam^(2K) <= noise <= tau^2 lam^(2K)."""
-    anchor = spectral_crossover(spec) or np.pi
-    scale = _integral_scale(spec)
-
-    def value(fac: float) -> float:
-        noise = lambda lam: fac * spec.tau ** 2 * np.asarray(lam) ** (2 * spec.K)
-        ratio_sq = _ratio_sq(spec, noise)
-        lam_lo, flat = _flat_piece(ratio_sq, anchor)
-        return scale * (_panel_sum(ratio_sq, anchor, lam_lo, 512) + flat)
-
-    # the larger noise bound gives the smaller information
-    return value(1.0), value(4.0 ** (-spec.K))
+    return float(spec.n) / (2.0 * np.pi * spec.sigma ** 4) * cur
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +328,10 @@ def _closed_form_supercritical(spec: ModelSpec) -> float:
 
 def fisher_closed_form(spec: ModelSpec) -> FisherReport:
     """Closed-form asymptotic Fisher information, dispatching on the
-    characteristic diamond = 1/(K - alpha) across the phase transition at 4."""
+    characteristic diamond = 1/(K - alpha) across the phase transition at 4.
+    DomainError at sigma = 0, where the subcritical form diverges."""
+    if spec.sigma == 0:
+        raise DomainError("the closed form needs sigma > 0")
     warnings = _condition_warnings(spec)
     dia = spec.diamond
     if spec.is_critical:

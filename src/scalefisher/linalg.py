@@ -1,7 +1,7 @@
-"""Structured matrices and transforms: Toeplitz forms, difference-operator
-covariances, the half-shifted cosine basis that diagonalizes them exactly
-(dense, and applied by FFT), and the whitening transform behind the
-eigenvalue form of the Fisher information."""
+"""Structured matrices and transforms: difference-operator covariances, the
+half-shifted cosine basis that diagonalizes them exactly (dense, and applied
+by FFT), and the whitening transform behind the eigenvalue form of the
+Fisher information."""
 
 from __future__ import annotations
 
@@ -10,25 +10,16 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz as _sp_toeplitz
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cholesky
 from scipy.linalg.lapack import dormqr, dsterf, dstevd, dsytrd, dsytrd_lwork, dtbtrs
 
-from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError, noise_symbol
+from .model import CONVENTIONS, DELTA_DELTAT, DomainError
 
 NEG_EIG_TOL = 1e-8
 
 
 class NotPositiveDefiniteError(RuntimeError):
     """Cholesky factorization failed; the matrix is not positive definite."""
-
-
-def toeplitz(gamma) -> np.ndarray:
-    """Symmetric Toeplitz matrix with entries gamma_|i-j|."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 1 or gamma.size < 1:
-        raise DomainError("need at least gamma_0")
-    return _sp_toeplitz(gamma)
 
 
 def _diff_base(n: int, convention: str) -> np.ndarray:
@@ -103,36 +94,6 @@ def cosine_transform(v) -> np.ndarray:
     return 2.0 / np.sqrt(big_n) * (w * post).real
 
 
-def noise_eigenvalues(n: int, K: int, tau: float) -> np.ndarray:
-    """Eigenvalues of the noise covariance: its symbol at the nodes u_i."""
-    return noise_symbol(dct_nodes(n), K, tau)
-
-
-def dct_diagonalize_noise(n: int, K: int, tau: float,
-                          convention: str = DELTA_DELTAT):
-    """Exact eigendecomposition of the noise covariance.
-
-    Returns (eigenvalues, basis) with Cov = basis @ diag(eig) @ basis.T.
-    """
-    if convention not in CONVENTIONS:
-        raise DomainError(f"convention must be one of {CONVENTIONS}")
-    eig = noise_eigenvalues(n, K, tau)
-    basis = dct_basis(n)
-    if convention == DELTAT_DELTA:
-        basis = basis[::-1, :]
-    return eig, basis
-
-
-def dn_matrix(g, n: int) -> np.ndarray:
-    """C diag(g(u_1) .. g(u_n)) C for a symbol g on (0, pi]."""
-    u = dct_nodes(n)
-    vals = np.asarray(g(u), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("symbol must be finite at every node u_i")
-    c = dct_basis(n)
-    return (c * vals[None, :]) @ c
-
-
 def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,
                                e: np.ndarray) -> np.ndarray:
     """Eigenvectors, in descending eigenvalue order, of the symmetric matrix
@@ -172,7 +133,7 @@ class WhitenedSystem:
     a_band[kd + i - j, j] = A[i, j] for the band width kd, shape (kd + 1, n).
     The noise covariance is banded, so kd = min(K, n - 1) and A's entries
     beyond the band are exact zeros; every solve with A, in ``whiten`` and
-    in the transform, is a banded one.
+    in the transform, is a banded one, and the dense A is never rebuilt.
 
     ``lam`` is computed when the system is built.  D is ``basis``: the
     tridiagonal form that gave ``lam`` is kept until ``basis`` is first read,
@@ -199,17 +160,6 @@ class WhitenedSystem:
                                        _tridiagonal_eigenvectors(*self._tridiagonal))
                     object.__setattr__(self, "_tridiagonal", None)
         return self._basis
-
-    @property
-    def a_factor(self) -> np.ndarray:
-        """The dense factor A, rebuilt from the band; read-only."""
-        kd, n = self.a_band.shape[0] - 1, self.n
-        a = np.zeros((n, n))
-        flat = a.reshape(-1)
-        for d in range(kd + 1):
-            flat[d:(n - d) * n:n + 1] = self.a_band[kd - d, d:]   # d-th superdiagonal
-        a.flags.writeable = False
-        return a
 
     def transform(self, z: np.ndarray) -> np.ndarray:
         """(A^-1 D)^t z via a triangular solve; no explicit inverse."""

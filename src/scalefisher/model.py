@@ -19,9 +19,6 @@ from scipy.special import binom, zeta
 
 from ._quad import QuadratureError, cos_tail_sum
 
-# explicit lags of the preset kinds' series, whose gamma only approaches the
-# power-law asymptote that the analytic tail sums
-SERIES_LAGS = 1024
 # frequencies per block of the series: bounds its block x lag and block x
 # quadrature-node temporaries
 SERIES_BLOCK = 4096
@@ -185,9 +182,10 @@ def _lattice_coefficients(s: float) -> tuple[float, ...]:
 
 def _folded_lattice(s: float, q):
     """Folded lattice sum sum_{j in Z} |j + q|^(-s) = zeta(s, q) + zeta(s, 1 - q)
-    for s > 1 and q in (0, 1/2].
+    for s > 1 and q in (0, 1/2], without its j = 0 term q^-s, which
+    overflows for small q and is left to the caller.
 
-    The terms j = 0, 1, -1 are powers; the rest are zeta(s, 2 + q) +
+    The terms j = 1, -1 are powers; the rest are zeta(s, 2 + q) +
     zeta(s, 2 - q), whose Taylor series in the shift (DLMF 25.11.10) keeps
     the even orders only: 2 sum_{k even} C(s+k-1, k) zeta(s+k, 2) q^k, summed
     by Horner in q^2.  Its coefficients depend on s alone, so they are built
@@ -196,7 +194,7 @@ def _folded_lattice(s: float, q):
     q = 1/2 and s < 3.5 (the largest preset s, the integrated preset's
     2H + 3) the first omitted one, k = 2 LATTICE_TERMS, is below 2e-17 and
     each later one is below 0.08 times the one before, against a sum above
-    q^-s >= 2."""
+    its j = -1 term 2^s > 2."""
     coef = _lattice_coefficients(float(s))
     q = np.asarray(q, dtype=float)
     q2 = q * q
@@ -204,7 +202,7 @@ def _folded_lattice(s: float, q):
     for c in coef[-2::-1]:
         series *= q2
         series += c
-    return series + (1.0 - q) ** -s + (1.0 + q) ** -s + q ** -s
+    return series + (1.0 - q) ** -s + (1.0 + q) ** -s
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +357,15 @@ class ModelSpec:
         return lam
 
     def spectral_density_x(self, lam):
-        """Signal spectral density f = sum_k gamma_k cos(k lam) as a series:
-        the lags below k0 explicitly, the rest in closed form from the
-        power-law asymptote of gamma, over blocks of SERIES_BLOCK frequencies.
-        User sequences are the power law from k0 = max(len(values), 2) on, so
-        the tail is exact there; for the presets (k0 = SERIES_LAGS) the series
-        cross-checks the folded form."""
+        """User-sequence spectral density f = sum_k gamma_k cos(k lam) as a
+        series over blocks of SERIES_BLOCK frequencies: the lags below
+        k0 = max(len(values), 2) explicitly, the rest in closed form from the
+        power law that gamma follows exactly from k0 on.  DomainError for the
+        preset kinds, whose density is ``spectral_density_x_aliased``."""
+        if self.x_cov.kind != "user_sequence":
+            raise DomainError("the series evaluator only applies to user sequences")
         lam = self._check_lambda(lam)
-        user = self.x_cov.kind == "user_sequence"
-        k0 = max(len(self.x_cov.values), 2) if user else SERIES_LAGS
+        k0 = max(len(self.x_cov.values), 2)
         g = self.gamma_array(k0 - 1)
         flat, lags = lam.ravel(), np.arange(1, k0)
         out = np.empty_like(flat)
@@ -403,21 +401,27 @@ class ModelSpec:
         (1 - cos lam) sum_j |2 pi j + lam|^(-2H-1).  The integrated preset's
         unit-window average multiplies the continuous spectrum by
         (sin(w/2)/(w/2))^2: 16 sin(pi H) Gamma(2H+1) sin^4(lam/2)
-        sum_j |2 pi j + lam|^(-2H-3).  DomainError for user sequences."""
+        sum_j |2 pi j + lam|^(-2H-3).  DomainError for user sequences.
+
+        With q = lam / 2 pi, m = 1 (fgn) or 2 and s = 2H + 2m - 1, the j = 0
+        term sin^(2m)(lam/2) q^-s is evaluated as (sin(lam/2) / q)^(2m)
+        q^(2m-s): far below 1e-30 the sine power underflows and q^-s
+        overflows, while the term is finite."""
         if self.x_cov.kind == "user_sequence":
             raise DomainError("aliased evaluator only applies to the preset kinds")
         lam = self._check_lambda(lam)
         H = self.x_cov.hurst
-        integrated = self.x_cov.kind == "integrated_fbm_increment"
-        s = 2.0 * H + (3.0 if integrated else 1.0)
-        lattice = _folded_lattice(s, lam / (2.0 * np.pi))
-        sin2 = np.sin(lam / 2.0) ** 2
+        m = 2 if self.x_cov.kind == "integrated_fbm_increment" else 1
+        s = 2.0 * H + (2 * m - 1)
+        q = lam / (2.0 * np.pi)
+        sine = np.sin(lam / 2.0)
+        sin2, ratio2 = sine * sine, (sine / q) ** 2
+        if m == 2:
+            sin2, ratio2 = sin2 * sin2, ratio2 * ratio2
         # the scalar factor, by math: fgn's 1 - cos lam is 2 sin^2(lam/2)
-        amp = (self.x_cov.scale * (16.0 if integrated else 4.0) * math.sin(math.pi * H)
+        amp = (self.x_cov.scale * 4.0 ** m * math.sin(math.pi * H)
                * math.gamma(2.0 * H + 1.0) * (2.0 * math.pi) ** -s)
-        if integrated:
-            sin2 = sin2 * sin2
-        return amp * sin2 * lattice
+        return amp * (sin2 * _folded_lattice(s, q) + ratio2 * q ** (2 * m - s))
 
     def spectral_density_f(self, lam):
         """f by the model's definition: folded form for presets, series for user."""
@@ -427,12 +431,6 @@ class ModelSpec:
 
     def noise_spectral_density(self, lam):
         return noise_symbol(self._check_lambda(lam), self.K, self.tau)
-
-    def spectral_density_z(self, lam):
-        """h_n = sigma^2 n^(-2 beta) f + 4^K tau^2 sin^(2K)(lam/2)."""
-        lam = self._check_lambda(lam)
-        return (self.sigma ** 2 * float(self.n) ** (-2.0 * self.beta)
-                * self.spectral_density_f(lam) + self.noise_spectral_density(lam))
 
     def sum_gamma_squared(self) -> float:
         """sum_{k in Z} gamma_k^2, by truncation plus a power-law tail estimate.

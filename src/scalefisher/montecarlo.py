@@ -20,11 +20,10 @@ import numpy as np
 from scipy.linalg import cholesky, LinAlgError
 from scipy.linalg.blas import dtrmv
 
-from .estimator import (EstimateResult, _estimate_from_squares, _oracle_from_squares,
-                        make_split)
+from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
-from .linalg import NotPositiveDefiniteError, cosine_transform, dct_nodes, DELTAT_DELTA
-from .model import DomainError, ModelSpec
+from .linalg import NotPositiveDefiniteError, cosine_transform, dct_nodes
+from .model import DELTAT_DELTA, DomainError, ModelSpec
 
 ESTIMATORS = ("oracle", "efficient")
 _CHUNK = 16  # replicates per chunk: about 1.3 MB of vectors at n = 2048
@@ -157,7 +156,7 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
 
     if estimator == "oracle":
         def finish(z2: np.ndarray) -> EstimateResult:
-            val = _oracle_from_squares(z2, w, spec)
+            val = _weighted_sum(z2, w, spec.sigma ** 2)
             return EstimateResult(
                 preliminary_V=val, sigma2_tilde=val, sigma2_two_stage=val,
                 sigma2_hat=val, plugin_fisher=info, split={},

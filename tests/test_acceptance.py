@@ -10,6 +10,7 @@ import pytest
 
 import scalefisher as sf
 from scalefisher.estimator import _weighted_sum
+from scalefisher.model import noise_symbol
 
 
 def _report(capsys, ok: bool, line: str) -> None:
@@ -173,7 +174,7 @@ def test_criterion_8_structural_suite(capsys):
 
     eig_ok = True
     for K in (1, 2):
-        eig, _ = sf.dct_diagonalize_noise(64, K, 1.0, "deltaT_delta")
+        eig = noise_symbol(sf.dct_nodes(64), K, 1.0)
         dense = np.linalg.eigvalsh(sf.diff_cov(64, K, 1.0, "deltaT_delta"))
         rel = np.abs(np.sort(eig) - dense) / np.abs(dense)
         eig_ok &= bool(rel.max() <= 1e-8)

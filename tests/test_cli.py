@@ -201,6 +201,15 @@ def test_rate_scan_log_grid_integers():
     assert _parse_n_grid("1e20:1e40:logsteps=3") == [10 ** 20, 10 ** 30, 10 ** 40]
 
 
+def test_rate_scan_comma_grid_integers():
+    # each point is exact: 1e30 is not the float's binary value, and two
+    # integers 2 apart beyond 2^53 stay apart instead of rounding together
+    assert _parse_n_grid("1e30,1e40") == [10 ** 30, 10 ** 40]
+    assert _parse_n_grid("100000000000000000001,100000000000000000003") == [
+        10 ** 20 + 1, 10 ** 20 + 3]
+    assert _parse_n_grid("64, 1.5e3,4096") == [64, 1500, 4096]
+
+
 @pytest.mark.parametrize("argv", [
     ("fisher", "--method", "exact"),
     ("simulate", "--seed", "1", "--reps", "1"),
@@ -232,6 +241,8 @@ USER_MODEL = ("--preset", "user", "--beta", "0.25", "--K", "0", "--alpha", "-0.2
      "--ell"),
     (("rate-scan", "--H", "0.5", "--n-grid", "1e4:1e6:logsteps=x"), "--n-grid"),
     (("rate-scan", "--H", "0.5", "--n-grid", ","), "--n-grid"),
+    # a fractional size ran as its floor
+    (("rate-scan", "--H", "0.5", "--n-grid", "2.7,5"), "--n-grid"),
 ])
 def test_malformed_number_exit_code(capsys, argv, flag):
     code, _, err = run_cli(capsys, *argv)
@@ -293,3 +304,27 @@ def test_thread_env_does_not_change_results(capsys, tmp_path, monkeypatch):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fisher", "--n", "64", "--method", "all"),
+    ("fisher", "--n", "64", "--method", "exact"),
+    ("fisher", "--n", "64", "--method", "integral"),
+    ("rate-scan", "--n-grid", "1e4,1e5"),
+])
+def test_zero_sigma_is_a_validation_error(capsys, argv):
+    # the closed form (which every fisher call runs) and the spectral
+    # integral divide by sigma; they ended in a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, *argv[:1], "--preset", "fbm-wn", "--H", "0.5",
+                             "--sigma", "0", *argv[1:])
+    assert code == 2 and not out
+    assert "sigma > 0" in err
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-100", "1e200"])
+def test_sigma_out_of_float_range_is_a_numerical_error(capsys, sigma):
+    # a power of sigma overflows, or sigma^4 underflows to 0
+    code, out, err = run_cli(capsys, "fisher", "--preset", "fbm-wn", "--H", "0.5",
+                             "--n", "64", "--sigma", sigma)
+    assert code == 3 and not out
+    assert "float range" in err

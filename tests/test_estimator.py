@@ -8,7 +8,7 @@ import pytest
 
 import scalefisher as sf
 from scalefisher.estimator import MIN_INFORMATION, _weighted_sum
-from scalefisher.fisher import information_weights
+from scalefisher.fisher import information_sum, information_weights
 
 
 def flat_spec(n, beta=0.05, sigma=1.0, tau=1.0):
@@ -24,8 +24,8 @@ def flat_spec(n, beta=0.05, sigma=1.0, tau=1.0):
 def test_partial_fisher_empty_and_full():
     spec = sf.fbm_wn_spec(128, 0.5)
     lam = sf.whitened_system(spec).lam
-    assert sf.partial_fisher(1.0, [], lam, 128, 0.5) == 0.0
-    full = sf.partial_fisher(spec.sigma ** 2, np.arange(128), lam, 128, 0.5)
+    assert information_sum(1.0, lam[:0], 128, 0.5) == 0.0
+    full = information_sum(spec.sigma ** 2, lam, 128, 0.5)
     assert full == pytest.approx(sf.fisher_exact(spec), rel=1e-14)
 
 
@@ -35,23 +35,17 @@ def test_partial_fisher_equal_eigenvalues():
     u = 0.7
     w = lam[0] * n ** (-2.0 * beta)
     expect = n * w ** 2 / (2.0 * (u * w + 1.0) ** 2)
-    got = sf.partial_fisher(u, np.arange(n), lam, n, beta)
+    got = information_sum(u, lam, n, beta)
     assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_partial_fisher_additive():
     spec = sf.fbm_wn_spec(200, 0.4)
     lam = sf.whitened_system(spec).lam
-    idx = np.arange(200)
-    left = sf.partial_fisher(1.0, idx[:60], lam, 200, 0.4)
-    right = sf.partial_fisher(1.0, idx[60:], lam, 200, 0.4)
-    total = sf.partial_fisher(1.0, idx, lam, 200, 0.4)
+    left = information_sum(1.0, lam[:60], 200, 0.4)
+    right = information_sum(1.0, lam[60:], 200, 0.4)
+    total = information_sum(1.0, lam, 200, 0.4)
     assert left + right == pytest.approx(total, rel=1e-12)
-
-
-def test_partial_fisher_rejects_nonpositive_u():
-    with pytest.raises(sf.DomainError):
-        sf.partial_fisher(0.0, [0], np.array([1.0]), 10, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +59,7 @@ def test_make_split_equal_contributions():
     w = n ** (-2.0 * beta)
     c = 0.5 * (w / (w + 1.0)) ** 2
     plan = sf.make_split(lam, n, beta)
-    assert plan.a_n.size == math.ceil(math.sqrt(n * c) / c)
+    assert plan.k == math.ceil(math.sqrt(n * c) / c)
     assert plan.i1_n == pytest.approx(n * c, rel=1e-12)
 
 
@@ -75,11 +69,12 @@ def test_split_invariants_fbm_wn(n):
     lam = sf.whitened_system(spec).lam
     plan = sf.make_split(lam, n, 0.5)
     assert math.sqrt(plan.i1_n) <= plan.i1_an <= math.sqrt(plan.i1_n) + 1.0
-    assert plan.a_n.size + plan.a_n_c.size == n
-    assert not np.intersect1d(plan.a_n, plan.a_n_c).size
+    # the prefix a_n is the first k coordinates, its complement the other n - k
+    assert 1 <= plan.k < plan.n == n
+    assert plan.summary()["split_size"] + plan.summary()["complement_size"] == n
     assert plan.delta_n == pytest.approx(min(1.0, plan.i1_an ** -0.125))
     # additivity of the two information masses
-    rest = sf.partial_fisher(1.0, plan.a_n_c, lam, n, 0.5)
+    rest = information_sum(1.0, lam[plan.k:], n, 0.5)
     assert plan.i1_an + rest == pytest.approx(plan.i1_n, rel=1e-12)
 
 
@@ -150,7 +145,9 @@ def test_estimate_exact_mean_data_recovers_sigma2():
     system = sf.whitened_system(spec)
     w = system.lam * float(spec.n) ** (-2 * spec.beta)
     ztilde = np.sqrt(spec.sigma ** 2 * w + 1.0)
-    z = system.a_factor.T @ (system.basis @ ztilde)
+    kd = system.a_band.shape[0] - 1
+    a = sum(np.diag(system.a_band[kd - d, d:], d) for d in range(kd + 1))
+    z = a.T @ (system.basis @ ztilde)
     res = sf.estimate(z, spec, system=system)
     assert res.preliminary_V == pytest.approx(spec.sigma ** 2, rel=1e-10)
     assert res.sigma2_tilde == pytest.approx(spec.sigma ** 2, rel=1e-10)

@@ -10,10 +10,10 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import scalefisher as sf
+from scalefisher._quad import panel_integrate
 from scalefisher.fisher import (
     _phase_prefactor,
     critical_fisher_log_integral,
-    fisher_integral_bracket,
     information_sum,
     spectral_crossover,
 )
@@ -136,9 +136,27 @@ def test_integral_vs_exact_desk_scale():
 
 
 def test_integral_sandwich():
+    # the noise spectrum lies between 4^-K tau^2 lam^(2K) and tau^2 lam^(2K),
+    # so the integral with either bound in its place brackets the Fisher value;
+    # each bound integral runs on 512 log panels each side of the crossover
+    def bound(spec, fac):
+        pref = spec.sigma ** 2 * float(spec.n) ** (-2 * spec.beta)
+
+        def ratio_sq(lam):
+            noise = fac * spec.tau ** 2 * lam ** (2 * spec.K)
+            return 1.0 / (1.0 + noise / (pref * spec.spectral_density_f(lam))) ** 2
+
+        anchor = spectral_crossover(spec)
+        lam_lo = anchor * 1e-9
+        edges = np.concatenate([np.geomspace(lam_lo, anchor, 513),
+                                np.geomspace(anchor, np.pi, 513)[1:]])
+        flat = ratio_sq(np.array([lam_lo]))[0] * lam_lo
+        return spec.n / (2 * np.pi * spec.sigma ** 4) * (panel_integrate(ratio_sq, edges) + flat)
+
     for spec in (sf.fbm_wn_spec(2000, 0.7), sf.large_error_spec(5000, 0.9, 0.3)):
         val = sf.fisher_integral(spec)
-        low, high = fisher_integral_bracket(spec)
+        # the larger noise bound gives the smaller information
+        low, high = bound(spec, 1.0), bound(spec, 4.0 ** -spec.K)
         assert low <= val * (1 + 1e-9)
         assert val <= high * (1 + 1e-9)
 
@@ -216,6 +234,17 @@ def test_crossover_search_raises_without_a_crossover():
     # LAM_FLOOR, and the integrand there is not flat
     with pytest.raises(sf.QuadratureError, match="no crossover"):
         spectral_crossover(sf.fbm_wn_spec(10 ** 200, 0.9))
+
+
+@pytest.mark.parametrize("H", [0.05, 0.2])
+def test_integral_integrated_preset_far_below_1e30(H):
+    # at n = 1e110 the crossover lies far below 1e-30, where sin^4(lam/2)
+    # underflowed and the ratio read 1 - 6.3e-6 (H = 0.05), 1 - 4.7e-3 (H = 0.2)
+    spec = sf.integrated_fbm_spec(10 ** 110, H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ratio = sf.fisher_integral(spec) / sf.fisher_closed_form(spec).closed_form
+    assert ratio == pytest.approx(1.0, abs=1e-11)
 
 
 def test_integral_integrated_preset_runs():

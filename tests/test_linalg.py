@@ -1,11 +1,12 @@
-"""Structured-matrix layer: Toeplitz, difference covariances, the cosine
-eigenbasis, and the whitening transform."""
+"""Structured-matrix layer: difference covariances, the cosine eigenbasis,
+and the whitening transform."""
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 import scalefisher as sf
+from scalefisher.model import noise_symbol
 
 
 def dense_diff_cov(n, K, tau, convention):
@@ -14,25 +15,10 @@ def dense_diff_cov(n, K, tau, convention):
     return tau ** 2 * np.linalg.matrix_power(base, K) if K else tau ** 2 * np.eye(n)
 
 
-# ---------------------------------------------------------------------------
-# Toeplitz
-# ---------------------------------------------------------------------------
-
-def test_toeplitz_identity():
-    g = np.zeros(5)
-    g[0] = 1.0
-    assert np.array_equal(sf.toeplitz(g), np.eye(5))
-
-
-def test_toeplitz_two_by_two():
-    assert np.array_equal(sf.toeplitz([1.0, 0.5]), np.array([[1.0, 0.5], [0.5, 1.0]]))
-
-
-def test_toeplitz_fgn_corner_entry():
-    t = sf.toeplitz(sf.gamma_fgn(0.75, np.arange(3)))
-    expect = 0.5 * (3 ** 1.5 - 2 * 2 ** 1.5 + 1)  # fBM-increment oracle at lag 2
-    assert t[0, 2] == pytest.approx(expect, abs=1e-14)
-    assert t[2, 0] == t[0, 2]
+def dense_factor(system):
+    """The dense upper-triangular noise factor A, from its band storage."""
+    kd = system.a_band.shape[0] - 1
+    return sum(np.diag(system.a_band[kd - d, d:], d) for d in range(kd + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +89,13 @@ def test_cosine_transform_matches_dense_basis(n):
 
 
 def test_dct_single_point():
-    eig, basis = sf.dct_diagonalize_noise(1, 1, 1.0, "deltaT_delta")
+    eig = noise_symbol(sf.dct_nodes(1), 1, 1.0)
     assert eig[0] == pytest.approx(4 * np.sin(np.pi / 6) ** 2, abs=1e-15)
     assert eig[0] == pytest.approx(1.0, abs=1e-15)  # the 1x1 matrix D^t D = [1]
 
 
 def test_dct_k0_flat():
-    eig, _ = sf.dct_diagonalize_noise(5, 0, 1.7)
+    eig = noise_symbol(sf.dct_nodes(5), 0, 1.7)
     assert np.allclose(eig, 1.7 ** 2)
 
 
@@ -117,7 +103,9 @@ def test_dct_k0_flat():
 @pytest.mark.parametrize("conv", ["delta_deltaT", "deltaT_delta"])
 def test_dct_eigenvalues_match_dense(K, conv):
     n = 64
-    eig, basis = sf.dct_diagonalize_noise(n, K, 1.0, conv)
+    # the cosine basis C diagonalizes D D^t; the row-reversed basis D^t D
+    eig = noise_symbol(sf.dct_nodes(n), K, 1.0)
+    basis = sf.dct_basis(n) if conv == "delta_deltaT" else sf.dct_basis(n)[::-1]
     dense = np.linalg.eigvalsh(sf.diff_cov(n, K, 1.0, conv))
     assert np.allclose(np.sort(eig), dense, rtol=1e-8)
     # and the basis actually reconstructs the covariance
@@ -125,33 +113,13 @@ def test_dct_eigenvalues_match_dense(K, conv):
     assert np.abs(rec - sf.diff_cov(n, K, 1.0, conv)).max() <= 1e-10
 
 
-# ---------------------------------------------------------------------------
-# D_n(g)
-# ---------------------------------------------------------------------------
-
-def test_dn_identity():
-    assert np.abs(sf.dn_matrix(lambda u: np.ones_like(u), 9) - np.eye(9)).max() <= 1e-12
-
-
-def test_dn_product_rule():
-    g1 = lambda u: 1.0 + np.sin(u)
-    g2 = lambda u: np.exp(-u)
-    n = 17
-    lhs = sf.dn_matrix(g1, n) @ sf.dn_matrix(g2, n)
-    rhs = sf.dn_matrix(lambda u: g1(u) * g2(u), n)
-    assert np.abs(lhs - rhs).max() <= 1e-10
-
-
 def test_dn_noise_symbol_reproduces_diff_cov():
-    # the half-shift cosine basis diagonalizes the D D^t product exactly
+    # D_n(g) = C diag(g(u_1) .. g(u_n)) C with the noise symbol for g is the
+    # D D^t product: the half-shift cosine basis diagonalizes it exactly
     n = 24
-    got = sf.dn_matrix(lambda u: 4.0 * np.sin(u / 2.0) ** 2, n)
+    c = sf.dct_basis(n)
+    got = (c * noise_symbol(sf.dct_nodes(n), 1, 1.0)[None, :]) @ c
     assert np.abs(got - sf.diff_cov(n, 1, 1.0, "delta_deltaT")).max() <= 1e-10
-
-
-def test_dn_rejects_nonfinite_symbol():
-    with np.errstate(divide="ignore"), pytest.raises(sf.DomainError):
-        sf.dn_matrix(lambda u: 1.0 / (u - u[0]), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +140,7 @@ def test_whiten_reconstruction():
     cov_y = sf.diff_cov(n, 1, 0.8)
     sys = sf.whiten(cov_x, cov_y)
     lhs = (sys.basis * sys.lam[None, :]) @ sys.basis.T
-    a_inv_t = np.linalg.inv(sys.a_factor).T
+    a_inv_t = np.linalg.inv(dense_factor(sys)).T
     rhs = a_inv_t @ cov_x @ a_inv_t.T
     assert np.abs(lhs - rhs).max() <= 1e-9
     assert np.all(np.diff(sys.lam) <= 1e-12)  # descending
@@ -222,9 +190,9 @@ def test_noise_factor_band(K, conv):
         dense = cholesky(cov_y, lower=False)
         kd = min(K, n - 1)
         assert np.all(np.triu(dense, kd + 1) == 0.0)
-        system = sf.whiten(sf.toeplitz(sf.gamma_fgn(0.3, np.arange(n))), cov_y)
+        system = sf.whiten(toeplitz(sf.gamma_fgn(0.3, np.arange(n))), cov_y)
         assert system.a_band.shape == (kd + 1, n)
-        assert np.array_equal(system.a_factor, dense)
+        assert np.array_equal(dense_factor(system), dense)
         for z in (rng.standard_normal(n), rng.standard_normal((n, n))):
             expect = system.basis.T @ solve_triangular(dense, z, trans="T", lower=False)
             got = system.transform(z)
@@ -238,7 +206,7 @@ def test_noise_factor_band(K, conv):
 def test_whiten_banded_build_matches_dense_solves(n, K, conv):
     # M = A^-t Cov(x) A^-1 comes from two banded solves; the two dense
     # triangular solves give the same matrix, and the input is left as it was
-    cov_x = sf.toeplitz(sf.gamma_fgn(0.3, np.arange(n)))
+    cov_x = toeplitz(sf.gamma_fgn(0.3, np.arange(n)))
     cov_x.flags.writeable = False
     before = cov_x.copy()
     cov_y = sf.diff_cov(n, K, 0.9, conv)
@@ -299,5 +267,4 @@ def test_cached_arrays_are_read_only():
     system = sf.whitened_system(sf.fbm_wn_spec(16, 0.5))
     with pytest.raises(ValueError):
         system.lam[0] = 1.0
-    assert not system.basis.flags.writeable and not system.a_factor.flags.writeable
-    assert not system.a_band.flags.writeable
+    assert not system.basis.flags.writeable and not system.a_band.flags.writeable

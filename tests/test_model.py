@@ -78,6 +78,7 @@ def test_fgn_frozen_values():
     assert sf.gamma_fgn(0.75, 1) == pytest.approx(0.41421356237309515, abs=1e-12)
     assert sf.gamma_fgn(0.25, 1) == pytest.approx(0.5 * (2 ** 0.5 - 2), abs=1e-14)
     assert sf.gamma_fgn(0.25, 1) == pytest.approx(-0.29289321881345254, abs=1e-12)
+    assert sf.gamma_fgn(0.75, 2) == pytest.approx(0.5 * (3 ** 1.5 - 2 * 2 ** 1.5 + 1), abs=1e-14)
 
 
 @pytest.mark.parametrize("H", [0.25, 0.5, 0.75])
@@ -241,25 +242,40 @@ def test_user_sequence_toeplitz_psd():
 # spectral densities
 # ---------------------------------------------------------------------------
 
+def brute_series(spec, lam, kmax=1 << 21, chunk=1 << 16):
+    """gamma_0 + 2 sum_{1 <= k < kmax} gamma_k cos(k lam) + 2 * tail from kmax,
+    summed in chunks of lags so memory stays bounded.  For a preset, whose
+    gamma only approaches the power law that the tail sums, kmax = 1024 is
+    an independent cross-check of the folded form."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    out = np.full(lam.shape, float(spec.gamma(0)))
+    for lo in range(1, kmax, chunk):
+        ks = np.arange(lo, min(lo + chunk, kmax))
+        out += 2.0 * (np.cos(np.outer(lam, ks)) @ spec.gamma(ks))
+    return out + 2.0 * spec._gamma_tail_cos(lam, kmax)
+
+
 def test_spectrum_white_noise_flat():
     spec = sf.fbm_wn_spec(100, 0.5)
     for lam in (0.1, 1.0, np.pi):
-        assert spec.spectral_density_x(lam) == pytest.approx(1.0, abs=1e-10)
+        assert brute_series(spec, lam, kmax=1024)[0] == pytest.approx(1.0, abs=1e-10)
         assert spec.spectral_density_x_aliased(lam) == pytest.approx(1.0, rel=1e-12)
+    # the noise spectrum 4^K tau^2 sin^(2K)(lam/2) is not flat: 4 tau^2 at pi
+    assert spec.noise_spectral_density(np.pi) == pytest.approx(4 * spec.tau ** 2)
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
 def test_spectrum_series_vs_aliased(H):
     spec = sf.fbm_wn_spec(64, H)
     grid = np.geomspace(1e-3, np.pi, 21)
-    f_series = spec.spectral_density_x(grid)
+    f_series = brute_series(spec, grid, kmax=1024)
     f_alias = spec.spectral_density_x_aliased(grid)
     assert np.allclose(f_series, f_alias, rtol=1e-6)
 
 
 def test_spectrum_crosscheck_single_point():
     spec = sf.fbm_wn_spec(64, 0.7)
-    a = spec.spectral_density_x(1.0)
+    a = brute_series(spec, 1.0, kmax=1024)[0]
     b = spec.spectral_density_x_aliased(1.0)
     assert a == pytest.approx(b, rel=1e-6)
 
@@ -282,24 +298,15 @@ def test_folded_lattice_matches_hurwitz_zeta():
     fgn_s = [2 * H + 1 for H in (0.025, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.975)]
     integrated_s = [2 * H + 3 for H in (0.025, 0.1, 0.2, 0.245)]
     q = np.append(np.geomspace(1e-16, 0.5, 200), 0.5)
+    # the helper leaves out the j = 0 term q^-s, which is added back here
     for s in fgn_s + integrated_s:
         ref = zeta(s, q) + zeta(s, 1.0 - q)
-        np.testing.assert_allclose(_folded_lattice(s, q), ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_folded_lattice(s, q) + q ** -s, ref, rtol=1e-13, atol=0)
         scalar = _folded_lattice(s, np.array(0.3))
         assert np.ndim(scalar) == 0
-        assert scalar == pytest.approx(zeta(s, 0.3) + zeta(s, 0.7), rel=1e-13)
+        assert scalar + 0.3 ** -s == pytest.approx(zeta(s, 0.3) + zeta(s, 0.7), rel=1e-13)
     for s, q0, ref in FOLDED_LATTICE_40_DIGITS:
-        assert _folded_lattice(s, q0) == pytest.approx(ref, rel=2e-15)
-
-
-def brute_series(spec, lam, kmax=1 << 21, chunk=1 << 16):
-    """gamma_0 + 2 sum_{1 <= k < kmax} gamma_k cos(k lam) + 2 * tail from kmax,
-    summed in chunks of lags so memory stays bounded."""
-    out = np.full(lam.shape, float(spec.gamma(0)))
-    for lo in range(1, kmax, chunk):
-        ks = np.arange(lo, min(lo + chunk, kmax))
-        out += 2.0 * (np.cos(np.outer(lam, ks)) @ spec.gamma(ks))
-    return out + 2.0 * spec._gamma_tail_cos(lam, kmax)
+        assert _folded_lattice(s, q0) + q0 ** -s == pytest.approx(ref, rel=2e-15)
 
 
 @pytest.mark.parametrize("values, alpha, ell", [
@@ -399,6 +406,12 @@ def test_aliased_rejects_user_sequence():
         spec.spectral_density_x_aliased(1.0)
 
 
+def test_series_rejects_presets():
+    for spec in (sf.fbm_wn_spec(16, 0.3), sf.integrated_fbm_spec(16, 0.1)):
+        with pytest.raises(sf.DomainError, match="user sequences"):
+            spec.spectral_density_x(1.0)
+
+
 def test_spectrum_small_lambda_power_law():
     # f(lam) * lam^(2 alpha) -> 2 sign(-alpha) Gamma(-2 alpha) cos(pi alpha) * ell
     spec = sf.fbm_wn_spec(64, 0.75)
@@ -406,10 +419,25 @@ def test_spectrum_small_lambda_power_law():
     c_alpha = 2 * np.sign(-alpha) * gamma_fn(-2 * alpha) * np.cos(np.pi * alpha)
     lam = 1e-4
     limit = c_alpha * spec.ell.c
-    assert spec.spectral_density_x(lam) * lam ** (-2 * alpha) == pytest.approx(
+    assert brute_series(spec, lam, kmax=1024)[0] * lam ** (-2 * alpha) == pytest.approx(
         limit, rel=1e-6)
     assert spec.spectral_density_x_aliased(lam) * lam ** (-2 * alpha) == pytest.approx(
         limit, rel=1e-6)
+
+
+@pytest.mark.parametrize("make", [lambda: sf.fbm_wn_spec(64, 0.9),
+                                  lambda: sf.integrated_fbm_spec(64, 0.2)],
+                         ids=["fbm-wn-0.9", "integrated-fbm-0.2"])
+def test_preset_power_law_far_below_1e30(make):
+    # the j = 0 lattice term goes with the sine factor, so neither q^-s
+    # overflows (fbm-wn gave inf at 1e-120, nan at 1e-200) nor sin^(2m)
+    # underflows (integrated-fbm was 2% low at 1e-80, nan at 1e-90)
+    spec = make()
+    alpha = spec.alpha
+    c_alpha = 2 * np.sign(-alpha) * gamma_fn(-2 * alpha) * np.cos(np.pi * alpha)
+    lam = np.array([1e-300, 1e-200, 1e-120, 1e-90, 1e-80])
+    f = spec.spectral_density_x_aliased(lam)
+    np.testing.assert_allclose(f * lam ** (-2 * alpha), c_alpha * spec.ell.c, rtol=1e-12)
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5, 0.75])
@@ -427,33 +455,18 @@ def test_parseval(H):
     assert total / np.pi == pytest.approx(spec.gamma(0), rel=1e-4)
 
 
-def test_spectral_density_z():
-    # flat-spectra case: sigma^2 n^(-2 beta) + tau^2 at every frequency
-    spec = sf.user_spec(100, beta=0.5, sigma=1.0, tau=1.0, K=0,
-                        gamma_values=[1.0], alpha=-0.1,
-                        ell=sf.SlowlyVaryingSpec("constant", 0.0))
-    for lam in (0.3, 2.0):
-        assert spec.spectral_density_z(lam) == pytest.approx(0.01 + 1.0, rel=1e-12)
-    spec2 = sf.fbm_wn_spec(50, 0.3)
-    assert spec2.noise_spectral_density(np.pi) == pytest.approx(4 * spec2.tau ** 2)
-    grid = np.linspace(0.05, np.pi, 40)
-    hz = spec2.spectral_density_z(grid)
-    floor = spec2.sigma ** 2 * 50.0 ** (-2 * spec2.beta) * spec2.spectral_density_f(grid)
-    assert np.all(hz >= floor)
-
-
 def test_spectrum_domain_errors():
     spec = sf.fbm_wn_spec(64, 0.6)
-    for bad in (0.0, -0.5, np.pi + 1e-9, np.nan):
-        with pytest.raises(sf.DomainError):
-            spec.spectral_density_x(bad)
-        with pytest.raises(sf.DomainError):
-            spec.spectral_density_z(bad)
-    # a nan among valid frequencies: presets gave a nan density, user
-    # sequences a bare ValueError from the tail
     user = sf.user_spec(16, beta=0.5, sigma=1.0, tau=1.0, K=1,
                         gamma_values=[1.0, 0.2], alpha=-0.2,
                         ell=sf.SlowlyVaryingSpec("constant", 0.3))
+    for bad in (0.0, -0.5, np.pi + 1e-9, np.nan):
+        with pytest.raises(sf.DomainError):
+            user.spectral_density_x(bad)
+        with pytest.raises(sf.DomainError):
+            spec.spectral_density_x_aliased(bad)
+    # a nan among valid frequencies: presets gave a nan density, user
+    # sequences a bare ValueError from the tail
     for model in (spec, sf.integrated_fbm_spec(64, 0.1), user):
         for bad in ([np.nan, 1.0], [1.0, np.nan, np.pi]):
             with pytest.raises(sf.DomainError, match="frequency"):
