@@ -22,6 +22,17 @@ def dense_factor(system):
 
 
 # ---------------------------------------------------------------------------
+# Toeplitz signal covariance
+# ---------------------------------------------------------------------------
+
+def test_toeplitz_fgn_corner_entry():
+    t = sf.fbm_wn_spec(3, 0.75).cov_x()
+    expect = 0.5 * (3 ** 1.5 - 2 * 2 ** 1.5 + 1)  # fBM-increment oracle at lag 2
+    assert t[0, 2] == pytest.approx(expect, abs=1e-14)
+    assert t[2, 0] == t[0, 2]
+
+
+# ---------------------------------------------------------------------------
 # difference covariances
 # ---------------------------------------------------------------------------
 
