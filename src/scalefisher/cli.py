@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
     except ArithmeticError as exc:
-        # a float out of range: sigma^4 underflowing to 0, or a power past 1e308
+        # a float out of range: a power of sigma or a Fisher value past 1e308
         sys.stderr.write(f"numerical error: a value left the float range: {exc}\n")
         return EXIT_NUMERICAL
 

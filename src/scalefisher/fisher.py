@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from ._quad import QuadratureError, panel_integrate
 from .linalg import diff_cov, whiten, WhitenedSystem
@@ -180,7 +179,9 @@ def fisher_integral(spec: ModelSpec) -> float:
     MAX_PANELS, until two refinements agree to INTEGRAL_RTOL relative.  The
     flat piece below anchor * 1e-9 (no lower than LAM_FLOOR) is evaluated
     once and added to each.  DomainError at sigma = 0, where the scaling
-    n / (2 pi sigma^4) is undefined.
+    n / (2 pi sigma^4) is undefined.  The scaling divides by sigma^2 twice,
+    since sigma^4 underflows below sigma = 1e-81 while the result is still
+    finite; OverflowError if the result is beyond the float range.
     """
     if spec.sigma == 0:
         raise DomainError("the spectral integral needs sigma > 0")
@@ -201,7 +202,11 @@ def fisher_integral(spec: ModelSpec) -> float:
             "Fisher spectral integral did not converge",
             info={"last": prev, "previous_panels": m // 2, "rtol": INTEGRAL_RTOL,
                   "crossover": anchor, "n": spec.n})
-    return float(spec.n) / (2.0 * np.pi * spec.sigma ** 4) * cur
+    value = cur * (float(spec.n) / (2.0 * math.pi * spec.sigma ** 2)) / spec.sigma ** 2
+    if not math.isfinite(value):
+        raise OverflowError(f"the Fisher spectral integral at sigma = {spec.sigma:g} "
+                            "exceeds the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,7 @@ def closed_form_constant_cH(H: float) -> float:
     if not 0.0 < H < 1.0:
         raise DomainError(f"Hurst index must lie in (0,1), got {H}")
     e = 1.0 / (2.0 * H + 1.0)
-    return (H * math.sin(math.pi * H) ** e * gamma_fn(2.0 * H + 1.0) ** e
+    return (H * math.sin(math.pi * H) ** e * math.gamma(2.0 * H + 1.0) ** e
             / ((2.0 * H + 1.0) ** 2 * math.sin(math.pi * e)))
 
 
@@ -237,7 +242,7 @@ def closed_form_constant_C(diamond: float, alpha: float) -> float:
     if not -0.5 < alpha < 0.5 or alpha == 0.0:
         raise DomainError("alpha must lie in (-1/2, 1/2) and be nonzero "
                           "(the constant diverges as alpha -> 0)")
-    c_alpha = 2.0 * math.copysign(1.0, -alpha) * gamma_fn(-2.0 * alpha) \
+    c_alpha = 2.0 * math.copysign(1.0, -alpha) * math.gamma(-2.0 * alpha) \
         * math.cos(math.pi * alpha)
     return _phase_prefactor(diamond) * c_alpha ** (diamond / 2.0)
 
@@ -303,7 +308,7 @@ def _closed_form_subcritical(spec: ModelSpec) -> float:
         # ell * C_alpha collapses to Gamma(2H+1) sin(pi H) for this family,
         # removing the alpha = 0 singularity (continuous through H = 1/2)
         H = spec.x_cov.hurst
-        amp = spec.x_cov.scale * gamma_fn(2.0 * H + 1.0) * math.sin(math.pi * H)
+        amp = spec.x_cov.scale * math.gamma(2.0 * H + 1.0) * math.sin(math.pi * H)
         return base * _phase_prefactor(dia) * amp ** (dia / 2.0)
     if spec.alpha == 0.0:
         raise DomainError("subcritical closed form requires alpha != 0 for "

@@ -1,7 +1,12 @@
 """Structured matrices and transforms: difference-operator covariances, the
 half-shifted cosine basis that diagonalizes them exactly (dense, and applied
 by FFT), and the whitening transform behind the eigenvalue form of the
-Fisher information."""
+Fisher information.
+
+The LAPACK routines come from ``scipy.linalg``, which is imported inside the
+functions that call them, on first use: importing scipy takes longer than
+importing numpy and the rest of the package together, and the spectral and
+closed-form routes never need it."""
 
 from __future__ import annotations
 
@@ -10,8 +15,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
-from scipy.linalg.lapack import dormqr, dsterf, dstevd, dsytrd, dsytrd_lwork, dtbtrs
+from numpy.linalg import LinAlgError
 
 from .model import CONVENTIONS, DELTA_DELTAT, DomainError
 
@@ -105,6 +109,7 @@ def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,
     method of dsyevd), and its vectors z are mapped back by Q = diag(1, Q'):
     Q' z[1:] is an ormqr over ``refl``, which is what ormtr does for lower
     storage.  At most three n x n arrays are alive at once."""
+    from scipy.linalg.lapack import dormqr, dstevd
     _, z, info = dstevd(d, e, compute_v=1)
     if info != 0:
         raise LinAlgError(f"tridiagonal eigenvectors did not converge (LAPACK info {info})")
@@ -175,6 +180,7 @@ class WhitenedSystem:
         The solve with A^t is a banded one (LAPACK tbtrs) in O(n kd).  A
         comes from a Cholesky factorisation, so its diagonal is positive and
         the solve cannot fail; non-finite data give non-finite output."""
+        from scipy.linalg.lapack import dtbtrs
         ws = [dtbtrs(self.a_band, z, uplo="U", trans="T")[0] for z in zs]
         basis = self.basis
         return [basis.T @ w for w in ws]
@@ -191,6 +197,8 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     O(n^2 kd) rather than O(n^3).  M is reduced once to tridiagonal form
     (LAPACK sytrd); its eigenvalues ``lam`` come from that form at once
     (sterf), and the eigenvectors only if ``basis`` is read."""
+    from scipy.linalg import cholesky
+    from scipy.linalg.lapack import dsterf, dsytrd, dsytrd_lwork, dtbtrs
     try:
         a = cholesky(cov_y, lower=False)
     except LinAlgError as exc:

@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import binom, zeta
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quad import QuadratureError, cos_tail_sum
 
@@ -171,13 +170,66 @@ def integrated_fbm_boundary_cov(H: float, n: int) -> np.ndarray:
     return np.concatenate([[1.0 / (2.0 * H + 2.0)], row])
 
 
+# denominators (2j)! / B_2j, j = 1..12, of the Euler-Maclaurin corrections in
+# Cephes zeta, the routine behind scipy.special.zeta
+_ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+            -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+            1.1646782814350067249e14, -4.5979787224074726105e15,
+            1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 2.0 ** -53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta(x, q) = sum_{j >= 0} (j + q)^-x for x > 1 and q > 0, by
+    Euler-Maclaurin summation (DLMF 25.11), step for step as Cephes ``zeta``:
+    direct terms until at least nine are summed and the shifted argument
+    exceeds 9, then the tail's integral, half its first term and up to 12
+    Bernoulli corrections, each stopping once a term is below 2^-53 of the
+    sum."""
+    s = q ** -x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for den in _ZETA_EM:
+        a *= x + k
+        b /= w
+        t = a * b / den
+        s += t
+        if abs(t / s) < _MACHEP:
+            break
+        k += 1.0
+        b /= w
+        a *= x + k
+        k += 1.0
+    return s
+
+
+def _rising_binomial(s: float, k: int) -> float:
+    """C(s+k-1, k) = prod_{i=1..k} (s-1+i) / i, as one quotient of the two
+    products; for s < 4 and k <= 30 both stay below 1e37."""
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= s - 1.0 + i
+        den *= i
+    return num / den
+
+
 # one entry per Hurst index in use: a rate scan over an H grid holds a few dozen
 @lru_cache(maxsize=64)
 def _lattice_coefficients(s: float) -> tuple[float, ...]:
     """2 C(s+k-1, k) zeta(s+k, 2) for k = 0, 2, ..., 2 (LATTICE_TERMS - 1):
     the even Taylor coefficients of zeta(s, 2 + q) + zeta(s, 2 - q) in q."""
-    k = np.arange(0.0, 2.0 * LATTICE_TERMS, 2.0)
-    return tuple((2.0 * binom(s + k - 1.0, k) * zeta(s + k, 2.0)).tolist())
+    return tuple(2.0 * _rising_binomial(s, k) * _hurwitz_zeta(s + k, 2.0)
+                 for k in range(0, 2 * LATTICE_TERMS, 2))
 
 
 def _folded_lattice(s: float, q):
@@ -339,7 +391,9 @@ class ModelSpec:
                 "dense routes (exact Fisher, estimation, sampling); for the Fisher "
                 "information at this n use --method integral or --method closed-form")
         g = self.gamma_array(self.n - 1) if self.n > 1 else np.array([self.gamma(0)])
-        cov = toeplitz(g)
+        # row i of the Toeplitz matrix is the window of (g_(n-1) .. g_1, g_0 ..
+        # g_(n-1)) that starts at n - 1 - i: the windows in reverse, copied once
+        cov = sliding_window_view(np.concatenate([g[:0:-1], g]), self.n)[::-1].copy()
         if self.x_cov.kind == "integrated_fbm_increment":
             b = self.x_cov.scale * integrated_fbm_boundary_cov(self.x_cov.hurst, self.n)
             cov[0, :] = b

@@ -7,7 +7,12 @@ a replicate's draw is bit-identical whether generated alone, in a different
 batch, or on a different worker count.  Studies run replicates in chunks,
 one stage at a time across the chunk, so each n x n array is read once per
 chunk; every stage makes the one-vector calls of ``sample_z`` and
-``estimate``, so the chunking does not change any value."""
+``estimate``, so the chunking does not change any value.
+
+The Cholesky factorisation and the BLAS product come from ``scipy.linalg``,
+imported inside the functions that call them on first use, so that
+importing the package does not load scipy for the spectral and closed-form
+routes."""
 
 from __future__ import annotations
 
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky, LinAlgError
-from scipy.linalg.blas import dtrmv
+from numpy.linalg import LinAlgError
 
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
@@ -35,6 +39,7 @@ def _signal_chol(spec: ModelSpec) -> np.ndarray:
     reads it in place.  Read-only, because the factor is shared through the
     cache, which keeps only the last spec's: callers sample one spec at a
     time."""
+    from scipy.linalg import cholesky
     try:
         factor = np.asfortranarray(cholesky(spec.cov_x(), lower=True))
     except LinAlgError as exc:
@@ -66,6 +71,7 @@ def _sample_each(spec: ModelSpec, seed: int, reps: range) -> list[np.ndarray]:
     the draws, then every product with L, then every cosine transform, so L
     is read once per range.  Each replicate goes through the same
     one-vector calls, so its draw does not depend on the range."""
+    from scipy.linalg.blas import dtrmv
     draws = []
     for rep in reps:
         rng = _rep_rng(seed, rep)

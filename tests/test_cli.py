@@ -321,10 +321,21 @@ def test_zero_sigma_is_a_validation_error(capsys, argv):
     assert "sigma > 0" in err
 
 
-@pytest.mark.parametrize("sigma", ["1e-200", "1e-100", "1e200"])
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-150", "1e200"])
 def test_sigma_out_of_float_range_is_a_numerical_error(capsys, sigma):
-    # a power of sigma overflows, or sigma^4 underflows to 0
+    # a power of sigma overflows, or the Fisher value (about sigma^-3) does
     code, out, err = run_cli(capsys, "fisher", "--preset", "fbm-wn", "--H", "0.5",
                              "--n", "64", "--sigma", sigma)
     assert code == 3 and not out
     assert "float range" in err
+
+
+def test_fisher_integral_at_tiny_sigma(capsys):
+    # sigma^4 underflows to 0 at sigma = 1e-90, while the integral is 1e270,
+    # as the closed form; it exited 3 with "float division by zero"
+    code, out, _ = run_cli(capsys, "fisher", "--preset", "fbm-wn", "--H", "0.5",
+                           "--n", "64", "--sigma", "1e-90", "--method", "integral")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["integral"] == pytest.approx(payload["closed_form"], rel=1e-12)
+    assert payload["closed_form"] == pytest.approx(1e270, rel=1e-12)

@@ -255,6 +255,25 @@ def test_integral_integrated_preset_runs():
     assert val == pytest.approx(exact, rel=0.5)  # coarse: o(1) terms at small n
 
 
+@pytest.mark.parametrize("sigma", [1e-81, 1e-90])
+def test_integral_sigma_fourth_power_below_float_range(sigma):
+    # sigma^4 underflows to 0 below sigma = 1e-81, while the integral (about
+    # sigma^-3 here) is finite: the scaling read "float division by zero"
+    spec = sf.fbm_wn_spec(64, 0.5, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        integral = sf.fisher_integral(spec)
+    assert integral == pytest.approx(sf.fisher_closed_form(spec).closed_form, rel=1e-12)
+
+
+def test_integral_beyond_float_range_raises():
+    # about 1e450: the float arithmetic would return inf without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="float range"):
+            sf.fisher_integral(sf.fbm_wn_spec(64, 0.5, sigma=1e-150))
+
+
 # ---------------------------------------------------------------------------
 # closed-form constants
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 import scalefisher as sf
-from scalefisher.model import noise_symbol
+from scalefisher.model import integrated_fbm_boundary_cov, noise_symbol
 
 
 def dense_diff_cov(n, K, tau, convention):
@@ -30,6 +30,22 @@ def test_toeplitz_fgn_corner_entry():
     expect = 0.5 * (3 ** 1.5 - 2 * 2 ** 1.5 + 1)  # fBM-increment oracle at lag 2
     assert t[0, 2] == pytest.approx(expect, abs=1e-14)
     assert t[2, 0] == t[0, 2]
+
+
+@pytest.mark.parametrize("spec", [sf.fbm_wn_spec(1, 0.3), sf.fbm_wn_spec(2, 0.3),
+                                  sf.fbm_wn_spec(257, 0.7), sf.integrated_fbm_spec(64, 0.1)],
+                         ids=["fgn-1", "fgn-2", "fgn-257", "integrated-64"])
+def test_cov_x_equals_scipy_toeplitz(spec):
+    # the strided copy over the mirrored lags is the matrix toeplitz builds;
+    # the integrated preset replaces its first row and column by the boundary
+    expect = toeplitz(spec.gamma_array(spec.n - 1))
+    if spec.x_cov.kind == "integrated_fbm_increment":
+        boundary = integrated_fbm_boundary_cov(spec.x_cov.hurst, spec.n)
+        expect[0, :] = boundary
+        expect[:, 0] = boundary
+    cov = spec.cov_x()
+    assert np.array_equal(cov, expect)
+    assert cov.flags.c_contiguous and cov.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ spectral-density cross-validation, and spec validation."""
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from scipy.special import gamma as gamma_fn, zeta
 
 import scalefisher as sf
 from scalefisher._quad import cos_tail_sum, gauss_nodes
-from scalefisher.model import _folded_lattice, integrated_fbm_boundary_cov
+from scalefisher.model import (
+    LATTICE_TERMS,
+    _folded_lattice,
+    _hurwitz_zeta,
+    _rising_binomial,
+    integrated_fbm_boundary_cov,
+)
 
 # ---------------------------------------------------------------------------
 # oracles (independent of the production kernels)
@@ -307,6 +314,47 @@ def test_folded_lattice_matches_hurwitz_zeta():
         assert scalar + 0.3 ** -s == pytest.approx(zeta(s, 0.3) + zeta(s, 0.7), rel=1e-13)
     for s, q0, ref in FOLDED_LATTICE_40_DIGITS:
         assert _folded_lattice(s, q0) + q0 ** -s == pytest.approx(ref, rel=2e-15)
+
+
+# the lattice's s = 2H + 1 (fgn) and 2H + 3 (integrated preset) over H grids,
+# and its orders k = 0, 2, ..., 2 (LATTICE_TERMS - 1)
+LATTICE_S = ([2.0 * H + 1.0 for H in np.linspace(0.01, 0.99, 99)]
+             + [2.0 * H + 3.0 for H in np.linspace(0.005, 0.245, 49)])
+LATTICE_K = range(0, 2 * LATTICE_TERMS, 2)
+
+# zeta(x, 2) at the binary value of the float x, computed once with mpmath
+# 1.3.0 at 40 significant digits:
+#   mpmath.mp.dps = 40; mpmath.zeta(mpmath.mpf(x), 2)
+HURWITZ_ZETA2_40_DIGITS = (
+    (1.05, 19.58084430203698482998434503405408692561),
+    (2.0, 0.644934066848226436472415166646025189219),
+    (33.45, 8.522111346720695149783570826809300882101e-11),
+)
+
+
+def test_hurwitz_zeta_equals_scipy_on_lattice_grid():
+    # the port makes Cephes' operations in Cephes' order: bit for bit
+    x = np.add.outer(LATTICE_S, np.array(LATTICE_K, dtype=float))
+    got = np.array([[_hurwitz_zeta(float(v), 2.0) for v in row] for row in x])
+    assert np.array_equal(got, zeta(x, 2.0))
+
+
+def test_hurwitz_zeta_high_precision_values():
+    for x, ref in HURWITZ_ZETA2_40_DIGITS:
+        assert _hurwitz_zeta(x, 2.0) == pytest.approx(ref, rel=5e-16)
+
+
+def test_rising_binomial_against_exact_rationals():
+    # C(s+k-1, k) = prod (s-1+i) / i in exact rational arithmetic at the
+    # binary value of s; the float products stay within 2e-15 of it
+    worst = 0.0
+    for s in LATTICE_S:
+        exact = Fraction(1)
+        for k in range(0, 31):
+            if k:
+                exact *= (Fraction(s) - 1 + k) / k
+            worst = max(worst, abs(Fraction(_rising_binomial(s, k)) - exact) / exact)
+    assert worst <= 4e-15
 
 
 @pytest.mark.parametrize("values, alpha, ell", [
