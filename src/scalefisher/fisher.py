@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,24 +60,14 @@ def fisher_exact(spec: ModelSpec, system: WhitenedSystem | None = None) -> float
 # spectral-integral approximation
 # ---------------------------------------------------------------------------
 
-def _ratio_sq(spec: ModelSpec):
-    """lam -> (1 + noise / (pref f))^-2, pref = sigma^2 n^(-2 beta): the
-    integrand f^2 / h^2 divided by its plateau 1 / pref^2, which
-    ``fisher_integral`` carries in n / (2 pi sigma^4) instead.  It lies in
-    [0, 1], so a plateau beyond the float range (n^(4 beta) above 1e308)
-    cannot overflow; it is 0 where f vanishes or pref f underflows."""
-    pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
-
-    def ratio_sq(lam):
-        fv = np.asarray(spec.spectral_density_f(lam), dtype=float)
-        nv = spec.noise_spectral_density(lam)
-        out = np.zeros_like(fv)
-        pos = fv > 0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[pos] = 1.0 / (1.0 + nv[pos] / (pref * fv[pos])) ** 2
-        return out
-
-    return ratio_sq
+def _ratio_sq(spec: ModelSpec, lam):
+    """(1 + r)^-2 at lam, r = noise / (sigma^2 n^(-2 beta) f) from its log
+    ``ModelSpec.noise_to_signal``: the integrand f^2 / h^2 over its plateau
+    (sigma^2 n^(-2 beta))^-2, which ``fisher_integral`` carries in
+    n / (2 pi sigma^4) instead.  It lies in [0, 1], so a plateau beyond the
+    float range cannot overflow; it is 0 where f vanishes or exp(log r) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(spec.noise_to_signal(lam))) ** 2
 
 
 def _panel_sum(ratio_sq, anchor: float, lam_lo: float, m: int) -> float:
@@ -89,56 +79,46 @@ def _panel_sum(ratio_sq, anchor: float, lam_lo: float, m: int) -> float:
     return panel_integrate(ratio_sq, np.concatenate(edges))
 
 
-def _crossover_decades(spec: ModelSpec, diff) -> tuple[float, float] | None:
-    """Bracket (10^-k, 10^(1-k)) of a crossover below 1e-30, for ``diff``
-    (scaled signal minus noise spectrum) negative at 1e-30: the first decade
-    down where the signal dominates.  None if there is none down to
-    LAM_FLOOR but the integrand is flat and nonzero, so anchoring at pi is
-    exact; an integrand of 0 there means the scaled signal spectrum
-    underflowed, which QuadratureError reports rather than integrate it.
-
-    Where the scaled signal and the noise spectrum both underflow to 0, the
-    spectra's ratio is nan, and nan counts as noise-dominated."""
+def _crossover_decades(spec: ModelSpec) -> tuple[float, float] | None:
+    """Bracket (10^-k, 10^(1-k)) of a crossover below 1e-30, for a spec whose
+    noise dominates at 1e-30: the first decade down where the signal
+    dominates (log r < 0), CROSSOVER_DECADES per call.  None if there is
+    none down to LAM_FLOOR but the integrand is flat and nonzero up to
+    pi * 1e-9, where ``fisher_integral`` would then treat it as flat, so
+    anchoring at pi is exact.  Otherwise the crossover lies below LAM_FLOOR:
+    QuadratureError reports it rather than integrate without an anchor."""
     exps = np.arange(-30, round(math.log10(LAM_FLOOR)) - 1, -1)
-    with np.errstate(invalid="ignore"):
-        for start in range(1, exps.size, CROSSOVER_DECADES):
-            decades = 10.0 ** exps[start:start + CROSSOVER_DECADES]
-            above = np.nonzero(diff(decades) > 0)[0]
-            if above.size:
-                k = start + int(above[0])
-                return 10.0 ** float(exps[k]), 10.0 ** float(exps[k - 1])
-        floor, flat_lo = _ratio_sq(spec)(np.array([LAM_FLOOR, np.pi * 1e-9]))
+    for start in range(1, exps.size, CROSSOVER_DECADES):
+        decades = 10.0 ** exps[start:start + CROSSOVER_DECADES]
+        above = np.nonzero(spec.noise_to_signal(decades) < 0)[0]
+        if above.size:
+            k = start + int(above[0])
+            return 10.0 ** float(exps[k]), 10.0 ** float(exps[k - 1])
+    floor, flat_lo = _ratio_sq(spec, np.array([LAM_FLOOR, np.pi * 1e-9]))
     if floor == 0.0 or not math.isclose(floor, flat_lo, rel_tol=INTEGRAL_RTOL):
         raise QuadratureError(
             "the noise spectrum dominates the scaled signal spectrum down to "
-            f"lam = {LAM_FLOOR:g}, and the integrand is not flat there (or the "
-            "scaled signal spectrum underflows): no crossover to anchor the integral",
+            f"lam = {LAM_FLOOR:g}, and the integrand is not flat and nonzero "
+            "there: no crossover to anchor the integral",
             info={"lam_floor": LAM_FLOOR, "n": spec.n})
     return None
 
 
 def spectral_crossover(spec: ModelSpec) -> float | None:
-    """Frequency where the scaled signal spectrum crosses the noise spectrum,
-    or None if the signal dominates down to 1e-30, or the noise dominates
-    down to LAM_FLOOR over an integrand that is flat there.
+    """Frequency where the scaled signal spectrum crosses the noise spectrum
+    (log r = 0 for ``ModelSpec.noise_to_signal``), or None if the signal
+    dominates down to 1e-30, or the noise dominates down to LAM_FLOOR over
+    an integrand that is flat there.
 
-    The grid is geometric on [1e-30, pi].  If the noise dominates on all of
-    it, the grid goes on down by decades, CROSSOVER_DECADES per call, to the
-    first one where the signal dominates; QuadratureError is raised if there
-    is none down to LAM_FLOOR and the integrand is not flat below
-    pi * 1e-9, where ``fisher_integral`` would then treat it as flat.  The
-    first sign change on the grid is narrowed by sectioning: each step
-    evaluates CROSSOVER_SECTIONS - 1 geometric points inside the bracket in
-    one call and keeps the first sub-bracket where the sign changes, until
-    no float lies strictly inside the bracket."""
-    pref = spec.sigma ** 2 * float(spec.n) ** (-2.0 * spec.beta)
-
-    def diff(lam):
-        return (pref * np.asarray(spec.spectral_density_f(lam), dtype=float)
-                - spec.noise_spectral_density(lam))
-
+    The grid is geometric on [1e-30, pi], and ``_crossover_decades`` goes on
+    down if the noise dominates on all of it.  The first sign change is
+    narrowed by sectioning: each step evaluates CROSSOVER_SECTIONS - 1
+    geometric points inside the bracket in one call and keeps the first
+    sub-bracket where the sign changes, until no float lies strictly inside
+    the bracket.  Its geometric mean is taken as a product of square roots,
+    since lo * hi underflows below about 1e-154."""
     grid = np.geomspace(1e-30, np.pi, 601)
-    sign = np.sign(diff(grid))
+    sign = -np.sign(spec.noise_to_signal(grid))
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size:
         lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
@@ -146,7 +126,7 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
     elif sign[0] > 0:
         return None
     else:
-        bracket = _crossover_decades(spec, diff)
+        bracket = _crossover_decades(spec)
         if bracket is None:
             return None
         (lo, hi), sign_lo = bracket, 1.0
@@ -159,8 +139,8 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
         pts = lo + (hi - lo) * frac
         pts = pts[(lo < pts) & (pts < hi)]
         if pts.size == 0:
-            return math.sqrt(lo * hi)
-        flip = np.nonzero(diff(pts) * sign_lo <= 0)[0]
+            return math.sqrt(lo) * math.sqrt(hi)
+        flip = np.nonzero(spec.noise_to_signal(pts) * sign_lo >= 0)[0]
         k = int(flip[0]) if flip.size else pts.size  # first point past the sign change
         if k > 0:
             lo = float(pts[k - 1])
@@ -185,8 +165,9 @@ def fisher_integral(spec: ModelSpec) -> float:
     """
     if spec.sigma == 0:
         raise DomainError("the spectral integral needs sigma > 0")
-    ratio_sq = _ratio_sq(spec)
-    anchor = spectral_crossover(spec) or np.pi
+    ratio_sq = partial(_ratio_sq, spec)
+    anchor = spectral_crossover(spec)
+    anchor = np.pi if anchor is None else anchor
     lam_lo = max(anchor * 1e-9, LAM_FLOOR)
     flat = float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
     prev = _panel_sum(ratio_sq, anchor, lam_lo, 64) + flat

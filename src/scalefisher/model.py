@@ -449,6 +449,17 @@ class ModelSpec:
         return np.sign(-self.alpha) * cos_tail_sum(2.0 * self.alpha + 1.0, lam, k_start,
                                                    self.amplitude)
 
+    def _preset_constants(self) -> tuple[float, int, float]:
+        """(amp, m, s) of a preset's density amp sin^(2m)(lam/2) (q^-s + L(q)),
+        q = lam / 2 pi, L = ``_folded_lattice``: m = 1 (fgn) or 2, s = 2H + 2m - 1."""
+        H = self.x_cov.hurst
+        m = 2 if self.x_cov.kind == "integrated_fbm_increment" else 1
+        s = 2.0 * H + (2 * m - 1)
+        # the scalar factor, by math: fgn's 1 - cos lam is 2 sin^2(lam/2)
+        amp = (self.x_cov.scale * 4.0 ** m * math.sin(math.pi * H)
+               * math.gamma(2.0 * H + 1.0) * (2.0 * math.pi) ** -s)
+        return amp, m, s
+
     def spectral_density_x_aliased(self, lam):
         """Exact preset spectral density via the folded power law, the lattice
         sum by ``_folded_lattice``.  fgn: 2 sin(pi H) Gamma(2H+1)
@@ -457,34 +468,42 @@ class ModelSpec:
         (sin(w/2)/(w/2))^2: 16 sin(pi H) Gamma(2H+1) sin^4(lam/2)
         sum_j |2 pi j + lam|^(-2H-3).  DomainError for user sequences.
 
-        With q = lam / 2 pi, m = 1 (fgn) or 2 and s = 2H + 2m - 1, the j = 0
-        term sin^(2m)(lam/2) q^-s is evaluated as (sin(lam/2) / q)^(2m)
+        With (amp, m, s) from ``_preset_constants``, the j = 0 term
+        sin^(2m)(lam/2) q^-s is evaluated as (sin(lam/2) / q)^(2m)
         q^(2m-s): far below 1e-30 the sine power underflows and q^-s
         overflows, while the term is finite."""
         if self.x_cov.kind == "user_sequence":
             raise DomainError("aliased evaluator only applies to the preset kinds")
         lam = self._check_lambda(lam)
-        H = self.x_cov.hurst
-        m = 2 if self.x_cov.kind == "integrated_fbm_increment" else 1
-        s = 2.0 * H + (2 * m - 1)
+        amp, m, s = self._preset_constants()
         q = lam / (2.0 * np.pi)
         sine = np.sin(lam / 2.0)
         sin2, ratio2 = sine * sine, (sine / q) ** 2
         if m == 2:
             sin2, ratio2 = sin2 * sin2, ratio2 * ratio2
-        # the scalar factor, by math: fgn's 1 - cos lam is 2 sin^2(lam/2)
-        amp = (self.x_cov.scale * 4.0 ** m * math.sin(math.pi * H)
-               * math.gamma(2.0 * H + 1.0) * (2.0 * math.pi) ** -s)
         return amp * (sin2 * _folded_lattice(s, q) + ratio2 * q ** (2 * m - s))
 
-    def spectral_density_f(self, lam):
-        """f by the model's definition: folded form for presets, series for user."""
+    def noise_to_signal(self, lam):
+        """log r, r = noise / (pref f): the noise spectrum 4^K tau^2
+        sin^(2K)(lam/2) over the signal's times pref = sigma^2 n^(-2 beta).
+        It is built in logs, as pref, the noise and f each leave the float
+        range at extreme n while r does not: log pref by math.log of the int
+        n; for presets log f = log amp + 2m log sin(lam/2) - s log q +
+        log1p(q^s L(q)) (``_preset_constants``), whose sine term cancels the
+        noise's exactly where K = m; for user sequences the log of the series,
+        -inf where it is <= 0, so that log r = +inf there."""
+        lam = self._check_lambda(lam)
+        log_pref = 2.0 * math.log(self.sigma) - 2.0 * self.beta * math.log(self.n)
+        log_scale = self.K * math.log(4.0) + 2.0 * math.log(self.tau) - log_pref
+        log_sin = np.log(np.sin(lam / 2.0))
         if self.x_cov.kind == "user_sequence":
-            return self.spectral_density_x(lam)
-        return self.spectral_density_x_aliased(lam)
-
-    def noise_spectral_density(self, lam):
-        return noise_symbol(self._check_lambda(lam), self.K, self.tau)
+            with np.errstate(divide="ignore"):  # f <= 0: log f = -inf
+                log_f = np.log(np.maximum(self.spectral_density_x(lam), 0.0))
+            return log_scale + 2 * self.K * log_sin - log_f
+        amp, m, s = self._preset_constants()
+        q = lam / (2.0 * np.pi)
+        return (log_scale - math.log(amp) + 2 * (self.K - m) * log_sin + s * np.log(q)
+                - np.log1p(q ** s * _folded_lattice(s, q)))
 
     def sum_gamma_squared(self) -> float:
         """sum_{k in Z} gamma_k^2, by truncation plus a power-law tail estimate.

@@ -144,7 +144,7 @@ def test_integral_sandwich():
 
         def ratio_sq(lam):
             noise = fac * spec.tau ** 2 * lam ** (2 * spec.K)
-            return 1.0 / (1.0 + noise / (pref * spec.spectral_density_f(lam))) ** 2
+            return 1.0 / (1.0 + noise / (pref * spec.spectral_density_x_aliased(lam))) ** 2
 
         anchor = spectral_crossover(spec)
         lam_lo = anchor * 1e-9
@@ -165,56 +165,64 @@ def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
     # one grid call, then one call per 32-section step until the bracket
     # stops shrinking in floating point
     calls = []
-    orig = sf.ModelSpec.spectral_density_f
+    orig = sf.ModelSpec.noise_to_signal
 
     def counted(self, lam):
         calls.append(np.size(lam))
         return orig(self, lam)
 
-    monkeypatch.setattr(sf.ModelSpec, "spectral_density_f", counted)
+    monkeypatch.setattr(sf.ModelSpec, "noise_to_signal", counted)
     spec = sf.fbm_wn_spec(10 ** 6, 0.3)
     lam_c = spectral_crossover(spec)
     assert 0 < len(calls) <= 12
-    h = spec.sigma ** 2 * 1e6 ** (-2 * spec.beta) * orig(spec, lam_c)
-    assert h == pytest.approx(float(spec.noise_spectral_density(lam_c)), rel=1e-9)
+    # the scaled signal spectrum equals the noise spectrum there: log r = 0
+    assert float(orig(spec, lam_c)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_integral_evaluates_spectrum_sparingly(monkeypatch):
     # the crossover search, then two refinements that share one evaluation
     # of the flat piece below anchor * 1e-9
     calls = []
-    orig = sf.ModelSpec.spectral_density_f
+    orig = sf.ModelSpec.noise_to_signal
 
     def counted(self, lam):
         calls.append(np.size(lam))
         return orig(self, lam)
 
-    monkeypatch.setattr(sf.ModelSpec, "spectral_density_f", counted)
+    monkeypatch.setattr(sf.ModelSpec, "noise_to_signal", counted)
     sf.fisher_integral(sf.fbm_wn_spec(10 ** 6, 0.3))
     assert 0 < len(calls) <= 14
     assert calls.count(1) == 1
 
 
-@pytest.mark.parametrize("e, crossover_below", [(100, 1e-60), (150, 1e-90)])
+@pytest.mark.parametrize("e, crossover_below", [(100, 1e-60), (150, 1e-90), (200, 1e-120),
+                                                 (250, 1e-150), (300, 1e-180)])
 def test_integral_plateau_beyond_float_range(e, crossover_below):
-    # n^(4 beta) = 1e360 and 1e540: the plateau sigma^-4 n^(4 beta) of
-    # f^2 / h^2 is past the float range, the integrand scaled by it is not
+    # n^(4 beta) = 1e360 and beyond: the plateau sigma^-4 n^(4 beta) of
+    # f^2 / h^2 is past the float range, the integrand scaled by it is not;
+    # from e = 200 on n^(-2 beta) itself underflows, and the route raised
+    # "no crossover" until the noise-to-signal ratio was built in logs
     spec = sf.fbm_wn_spec(10 ** e, 0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert spectral_crossover(spec) < crossover_below
         integral = sf.fisher_integral(spec)
         closed = sf.fisher_closed_form(spec).closed_form
-    assert integral == pytest.approx(closed, rel=1e-6)
+    assert integral == pytest.approx(closed, rel=1e-11)
 
 
 def test_integral_crossover_below_grid_floor():
-    # the crossover lies near 3e-52, below the search grid's 1e-30: the grid
-    # goes on down by decades instead of anchoring at pi
-    spec = sf.fbm_wn_spec(10 ** 80, 0.9)
-    assert spectral_crossover(spec) < 1e-30
-    assert sf.fisher_integral(spec) == pytest.approx(
-        sf.fisher_closed_form(spec).closed_form, rel=1e-6)
+    # the crossover lies near 3e-52 (fbm-wn), 3e-163 and 3e-173 (user), below
+    # the search grid's 1e-30: the grid goes on down by decades instead of
+    # anchoring at pi.  Below about 1e-154 the bracket's product lo * hi
+    # underflowed to 0, read as "no crossover": anchored at pi, the user spec
+    # at n = 1e85 read 2.7e-7 low
+    user = [sf.user_spec(10 ** e, 0.1, 1.0, 1.0, 0, [1.0, 0.3, 0.1], -0.05,
+                         sf.SlowlyVaryingSpec("constant", 0.3)) for e in (85, 90)]
+    for spec in [sf.fbm_wn_spec(10 ** 80, 0.9)] + user:
+        assert spectral_crossover(spec) < 1e-30
+        assert sf.fisher_integral(spec) == pytest.approx(
+            sf.fisher_closed_form(spec).closed_form, rel=1e-12)
 
 
 def test_integral_critical_ratio_keeps_falling_below_grid_floor():
@@ -230,21 +238,26 @@ def test_integral_critical_ratio_keeps_falling_below_grid_floor():
 
 
 def test_crossover_search_raises_without_a_crossover():
-    # n^(-2 beta) = 1e-360 underflows: the noise dominates down to
-    # LAM_FLOOR, and the integrand there is not flat
+    # the crossover n^(-beta diamond) is about 1e-400, below LAM_FLOOR: the
+    # noise dominates down to it, and the integrand there is not flat
+    spec = sf.user_spec(10 ** 40, 0.1, 1.0, 1.0, 0, [1.0, 0.3, 0.1], -0.01,
+                        sf.SlowlyVaryingSpec("constant", 0.3))
     with pytest.raises(sf.QuadratureError, match="no crossover"):
-        spectral_crossover(sf.fbm_wn_spec(10 ** 200, 0.9))
+        spectral_crossover(spec)
 
 
 @pytest.mark.parametrize("H", [0.05, 0.2])
 def test_integral_integrated_preset_far_below_1e30(H):
     # at n = 1e110 the crossover lies far below 1e-30, where sin^4(lam/2)
-    # underflowed and the ratio read 1 - 6.3e-6 (H = 0.05), 1 - 4.7e-3 (H = 0.2)
-    spec = sf.integrated_fbm_spec(10 ** 110, H)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        ratio = sf.fisher_integral(spec) / sf.fisher_closed_form(spec).closed_form
-    assert ratio == pytest.approx(1.0, abs=1e-11)
+    # underflowed and the ratio read 1 - 6.3e-6 (H = 0.05), 1 - 4.7e-3 (H = 0.2).
+    # With the noise symbol a subnormal, H = 0.2 still read 1 + 1.1e-7 at
+    # n = 1e112 and raised from 1e113 on, until the ratio was built in logs
+    for e in (110,) if H == 0.05 else (110, 112, 113, 150, 300):
+        spec = sf.integrated_fbm_spec(10 ** e, H)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ratio = sf.fisher_integral(spec) / sf.fisher_closed_form(spec).closed_form
+        assert ratio == pytest.approx(1.0, abs=1e-11), e
 
 
 def test_integral_integrated_preset_runs():

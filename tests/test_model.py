@@ -18,6 +18,7 @@ from scalefisher.model import (
     _hurwitz_zeta,
     _rising_binomial,
     integrated_fbm_boundary_cov,
+    noise_symbol,
 )
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def test_spectrum_white_noise_flat():
         assert brute_series(spec, lam, kmax=1024)[0] == pytest.approx(1.0, abs=1e-10)
         assert spec.spectral_density_x_aliased(lam) == pytest.approx(1.0, rel=1e-12)
     # the noise spectrum 4^K tau^2 sin^(2K)(lam/2) is not flat: 4 tau^2 at pi
-    assert spec.noise_spectral_density(np.pi) == pytest.approx(4 * spec.tau ** 2)
+    assert noise_symbol(np.pi, spec.K, spec.tau) == pytest.approx(4 * spec.tau ** 2)
 
 
 @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
@@ -497,9 +498,9 @@ def test_parseval(H):
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = spec.spectral_density_f(pts).reshape(-1, 16)
+    vals = spec.spectral_density_x_aliased(pts).reshape(-1, 16)
     total = float(np.sum((vals @ w) * half))
-    total += spec.spectral_density_f(1e-10) * 1e-10 / (2 * spec.alpha + 1)
+    total += spec.spectral_density_x_aliased(1e-10) * 1e-10 / (2 * spec.alpha + 1)
     assert total / np.pi == pytest.approx(spec.gamma(0), rel=1e-4)
 
 
@@ -518,9 +519,7 @@ def test_spectrum_domain_errors():
     for model in (spec, sf.integrated_fbm_spec(64, 0.1), user):
         for bad in ([np.nan, 1.0], [1.0, np.nan, np.pi]):
             with pytest.raises(sf.DomainError, match="frequency"):
-                model.spectral_density_f(bad)
-            with pytest.raises(sf.DomainError, match="frequency"):
-                model.noise_spectral_density(bad)
+                model.noise_to_signal(bad)
 
 
 @pytest.mark.parametrize("ell", [sf.SlowlyVaryingSpec("constant", 0.5),
