@@ -20,6 +20,11 @@ from numpy.linalg import LinAlgError
 from .model import CONVENTIONS, DELTA_DELTAT, DomainError
 
 NEG_EIG_TOL = 1e-8
+# columns of every BLAS-3 panel.  OpenBLAS gives a column of a width-8 panel
+# the same bits at every position whatever its neighbours hold, so a vector
+# alone and a vector among others agree; at width 16 they do not on the
+# SkylakeX kernels (tests/test_linalg.py::test_panel_columns_are_position_independent)
+PANEL = 8
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -82,18 +87,19 @@ def dct_basis(n: int) -> np.ndarray:
 
 
 def cosine_transform(v) -> np.ndarray:
-    """dct_basis(n) @ v, which is also C^t v since C is symmetric, by one
-    complex FFT of length N = 2n + 1 in O(n log n).
+    """dct_basis(n) @ v along the last axis of v, which is also C^t v since
+    C is symmetric, by one complex FFT of length N = 2n + 1 in O(n log n).
+    Each row of a batch gives the bits of its one-row call.
 
     With p, q = 0..n-1 the entry C_pq is 2/sqrt(N) cos(pi (2p+1)(2q+1) / (2N)),
     and (2p+1)(2q+1) / (2N) = 2pq/N + q/N + (2p+1)/(2N): pre-twiddle v_q by
     exp(i pi q/N), take the unnormalised inverse DFT of length N, post-twiddle
     by exp(i pi (2p+1)/(2N)) and keep the real part."""
     v = np.asarray(v, dtype=float)
-    n = v.size
+    n = v.shape[-1]
     big_n = 2 * n + 1
     twiddle = np.exp(1j * np.pi / big_n * np.arange(n))
-    w = np.fft.ifft(v * twiddle, n=big_n, norm="forward")[:n]
+    w = np.fft.ifft(v * twiddle, n=big_n, norm="forward")[..., :n]
     post = twiddle * np.exp(0.5j * np.pi / big_n)
     return 2.0 / np.sqrt(big_n) * (w * post).real
 
@@ -167,23 +173,34 @@ class WhitenedSystem:
         return self._basis
 
     def transform(self, z: np.ndarray) -> np.ndarray:
-        """(A^-1 D)^t z via a triangular solve; no explicit inverse."""
-        return self._transform_each([np.asarray(z, dtype=float)])[0]
+        """(A^-1 D)^t z via a triangular solve; no explicit inverse.  A
+        matrix has each column transformed.  The columns go through
+        ``_transform_each`` PANEL at a time, a vector as the one live column
+        of its panel, so a column's result does not depend on its
+        neighbours."""
+        z = np.asarray(z, dtype=float)
+        cols = z.reshape(z.shape[0], -1)
+        out = np.empty(cols.shape)
+        for lo in range(0, cols.shape[1], PANEL):
+            live = min(PANEL, cols.shape[1] - lo)
+            panel = np.zeros((self.n, PANEL), order="F")
+            panel[:, :live] = cols[:, lo:lo + live]
+            out[:, lo:lo + live] = self._transform_each(panel)[:, :live]
+        return out.reshape(z.shape)
 
-    def _transform_each(self, zs: list[np.ndarray]) -> list[np.ndarray]:
-        """``transform`` of each vector in ``zs``, one stage at a time: all
-        the solves with A, then all the products with D^t, so each n x n
-        array is read once per list.  Each vector goes through the same
-        one-vector LAPACK and BLAS calls, so the results do not depend on the
-        list.  A matrix in place of a vector has each column transformed.
+    def _transform_each(self, panel: np.ndarray) -> np.ndarray:
+        """(A^-1 D)^t of each column of an n x PANEL Fortran-ordered panel,
+        by one banded solve with A^t over the panel (LAPACK tbtrs, O(n kd)
+        per column) and one product with D^t (BLAS gemm), so each n x n
+        array is read once per panel.  gemm reads ``basis.T``, the Fortran
+        view of the C-ordered basis, so no n x n copy is made.
 
-        The solve with A^t is a banded one (LAPACK tbtrs) in O(n kd).  A
-        comes from a Cholesky factorisation, so its diagonal is positive and
-        the solve cannot fail; non-finite data give non-finite output."""
+        A comes from a Cholesky factorisation, so its diagonal is positive
+        and the solve cannot fail; non-finite data give non-finite output."""
+        from scipy.linalg.blas import dgemm
         from scipy.linalg.lapack import dtbtrs
-        ws = [dtbtrs(self.a_band, z, uplo="U", trans="T")[0] for z in zs]
-        basis = self.basis
-        return [basis.T @ w for w in ws]
+        w = dtbtrs(self.a_band, panel, uplo="U", trans="T")[0]
+        return dgemm(1.0, self.basis.T, w)
 
 
 def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:

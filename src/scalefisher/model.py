@@ -491,7 +491,10 @@ class ModelSpec:
         n; for presets log f = log amp + 2m log sin(lam/2) - s log q +
         log1p(q^s L(q)) (``_preset_constants``), whose sine term cancels the
         noise's exactly where K = m; for user sequences the log of the series,
-        -inf where it is <= 0, so that log r = +inf there."""
+        -inf where it is <= 0, so that log r = +inf there.  DomainError at
+        sigma = 0, where there is no signal to divide by."""
+        if self.sigma == 0:
+            raise DomainError("the noise-to-signal ratio needs sigma > 0")
         lam = self._check_lambda(lam)
         log_pref = 2.0 * math.log(self.sigma) - 2.0 * self.beta * math.log(self.n)
         log_scale = self.K * math.log(4.0) + 2.0 * math.log(self.tau) - log_pref

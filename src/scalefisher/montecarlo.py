@@ -1,13 +1,16 @@
 """Exact sampling of the observation model and batch efficiency studies.
 
-Each draw costs one triangular product with the Cholesky factor of the
-signal covariance and one cosine transform by FFT for the noise.
-Replicate streams are counter-based (Philox keyed by (seed, replicate)), so
-a replicate's draw is bit-identical whether generated alone, in a different
-batch, or on a different worker count.  Studies run replicates in chunks,
-one stage at a time across the chunk, so each n x n array is read once per
-chunk; every stage makes the one-vector calls of ``sample_z`` and
-``estimate``, so the chunking does not change any value.
+Draws are made in panels of ``linalg.PANEL`` replicates: one triangular
+product (BLAS trmm) of the Cholesky factor of the signal covariance with the
+panel, and one batched cosine transform by FFT for the noise.  A single
+draw is the one live column of its panel, so there is one code path, and a
+column's bits do not depend on its position or its neighbours.  Replicate
+streams are counter-based (Philox keyed by (seed, replicate)), so a
+replicate's draw is bit-identical whether generated alone, in a different
+batch, or on a different worker count.  Studies run replicates panel by
+panel, one stage at a time across the panel, so each n x n array is read
+once per panel rather than once per replicate, and every estimate equals
+that of ``sample_z`` + ``estimate``.
 
 The Cholesky factorisation and the BLAS product come from ``scipy.linalg``,
 imported inside the functions that call them on first use, so that
@@ -26,16 +29,15 @@ from numpy.linalg import LinAlgError
 
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
-from .linalg import NotPositiveDefiniteError, cosine_transform, dct_nodes
+from .linalg import PANEL, NotPositiveDefiniteError, cosine_transform, dct_nodes
 from .model import DELTAT_DELTA, DomainError, ModelSpec
 
 ESTIMATORS = ("oracle", "efficient")
-_CHUNK = 16  # replicates per chunk: about 1.3 MB of vectors at n = 2048
 
 
 @lru_cache(maxsize=1)
 def _signal_chol(spec: ModelSpec) -> np.ndarray:
-    """Lower Cholesky factor of Cov(x), Fortran-ordered so that ``dtrmv``
+    """Lower Cholesky factor of Cov(x), Fortran-ordered so that ``dtrmm``
     reads it in place.  Read-only, because the factor is shared through the
     cache, which keeps only the last spec's: callers sample one spec at a
     time."""
@@ -61,31 +63,39 @@ def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
     triangular product that reads only L's lower half.  Noise: C diag(d)
     xi_noise, synthesized in the cosine eigenbasis C where its covariance is
     exactly diagonal (index-reversed for the D^t D convention), with C
-    applied by ``cosine_transform``.
+    applied by ``cosine_transform``.  The draw is the one live column of a
+    ``_sample_each`` panel.
     """
-    return _sample_each(spec, seed, range(rep_index, rep_index + 1))[0]
+    if not 0 <= rep_index < 2 ** 64:
+        raise DomainError(f"rep_index must lie in [0, 2^64), got {rep_index}")
+    return _sample_each(spec, seed, range(rep_index, rep_index + 1))[:, 0].copy()
 
 
-def _sample_each(spec: ModelSpec, seed: int, reps: range) -> list[np.ndarray]:
-    """``sample_z`` of each replicate in ``reps``, one stage at a time: all
-    the draws, then every product with L, then every cosine transform, so L
-    is read once per range.  Each replicate goes through the same
-    one-vector calls, so its draw does not depend on the range."""
-    from scipy.linalg.blas import dtrmv
-    draws = []
-    for rep in reps:
+def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
+    """``sample_z`` of each of the at most PANEL replicates in ``reps``, as
+    the leading columns of an n x PANEL Fortran-ordered panel whose other
+    columns are zero.  The signal is one BLAS trmm of L with the panel of
+    draws, so L is read once per panel; the noise is one cosine transform
+    of the live rows.  A column of a width-PANEL panel gets the same bits at
+    any position whatever its neighbours hold, so a replicate's draw does
+    not depend on the range."""
+    from scipy.linalg.blas import dtrmm
+    n = spec.n
+    xi = np.zeros((n, PANEL), order="F")
+    xi_noise = np.empty((len(reps), n))
+    for j, rep in enumerate(reps):
         rng = _rep_rng(seed, rep)
-        xi = rng.standard_normal(spec.n)
-        draws.append((xi, rng.standard_normal(spec.n)))
-    factor = _signal_chol(spec)
-    xs = [dtrmv(factor, xi, lower=1) for xi, _ in draws]
-    u = dct_nodes(spec.n)
+        xi[:, j] = rng.standard_normal(n)
+        xi_noise[j] = rng.standard_normal(n)
+    x = dtrmm(1.0, _signal_chol(spec), xi, lower=1)
+    u = dct_nodes(n)
     d = 2.0 ** spec.K * spec.tau * np.sin(u / 2.0) ** spec.K
-    ys = [cosine_transform(d * xi_noise) for _, xi_noise in draws]
+    y = cosine_transform(d * xi_noise)
     if spec.noise_convention == DELTAT_DELTA:
-        ys = [y[::-1] for y in ys]
-    scale = spec.sigma * float(spec.n) ** (-spec.beta)
-    return [scale * x + y for x, y in zip(xs, ys)]
+        y = y[:, ::-1]
+    z = spec.sigma * float(n) ** (-spec.beta) * x
+    z[:, :len(reps)] += y.T
+    return z
 
 
 @dataclass(frozen=True)
@@ -130,10 +140,10 @@ class McStudy:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _chunks(reps: int, workers: int) -> list[range]:
-    """Contiguous replicate ranges of at most _CHUNK, and at least
+def _panels(reps: int, workers: int) -> list[range]:
+    """Contiguous replicate ranges of at most PANEL, and at least
     ``workers`` of them when there are that many replicates."""
-    size = max(1, min(_CHUNK, -(-reps // workers)))
+    size = max(1, min(PANEL, -(-reps // workers)))
     return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
 
 
@@ -143,13 +153,15 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
     fixed (spec, reps, seed) and any worker count (results merged in
     replicate order).
 
-    Replicates run in contiguous chunks, stage by stage (draws, signal
-    products, cosine transforms, whitening solves, eigenbasis products,
-    then the estimator), so each n x n array is read once per chunk rather
-    than once per replicate.  Every replicate goes through the one-vector
-    calls of ``sample_z`` and ``estimate`` (or ``oracle_estimate``), so each
-    estimate is bit-identical to theirs for any chunking and worker count.
-    The split and the information weights are built once per study."""
+    Replicates run in panels of at most ``linalg.PANEL``, stage by stage
+    (draws, one signal trmm, one batched cosine transform, one whitening
+    solve, one eigenbasis gemm, then the estimator on each column), so each
+    n x n array is read once per panel rather than once per replicate.
+    ``sample_z`` and ``estimate`` (or ``oracle_estimate``) make the same
+    panel calls with one live column, and a column's bits do not depend on
+    its position or neighbours, so each estimate is bit-identical to theirs
+    for any panel filling and worker count.  The split and the information
+    weights are built once per study."""
     if reps < 2:
         raise DomainError("need at least two replicates")
     if estimator not in ESTIMATORS:
@@ -173,16 +185,16 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
         def finish(z2: np.ndarray) -> EstimateResult:
             return _estimate_from_squares(z2, w, split, system, spec)
 
-    def chunk(part: range) -> list[EstimateResult]:
-        qs = system._transform_each(_sample_each(spec, seed, part))
-        return [finish(q ** 2) for q in qs]
+    def run_panel(part: range) -> list[EstimateResult]:
+        q = system._transform_each(_sample_each(spec, seed, part))
+        return [finish(q[:, j] ** 2) for j in range(len(part))]
 
-    parts = _chunks(reps, workers)
+    parts = _panels(reps, workers)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(chunk, parts))
+            done = list(pool.map(run_panel, parts))
     else:
-        done = [chunk(part) for part in parts]
+        done = [run_panel(part) for part in parts]
     results = [r for part in done for r in part]
 
     truth = spec.sigma ** 2

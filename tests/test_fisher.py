@@ -4,6 +4,7 @@ closed-form constants and their cross-identities, regime dispatch, scans."""
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,12 @@ def test_crossover_search_raises_without_a_crossover():
                         sf.SlowlyVaryingSpec("constant", 0.3))
     with pytest.raises(sf.QuadratureError, match="no crossover"):
         spectral_crossover(spec)
+
+
+def test_crossover_search_rejects_zero_sigma():
+    # the ratio's log took math.log(0.0): a bare "math domain error"
+    with pytest.raises(sf.DomainError, match="sigma > 0"):
+        spectral_crossover(replace(sf.fbm_wn_spec(64, 0.5), sigma=0.0))
 
 
 @pytest.mark.parametrize("H", [0.05, 0.2])

@@ -295,3 +295,42 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         system.lam[0] = 1.0
     assert not system.basis.flags.writeable and not system.a_band.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# BLAS-3 panels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [31, 129, 257, 512])
+def test_panel_columns_are_position_independent(n):
+    # sample_z and estimate make the panel calls of run_study with one live
+    # column at position 0 and zeros beside it; run_study fills every
+    # position.  Each product must give a column the same bits at any
+    # position p < PANEL whatever its neighbours hold.  At width 16 this
+    # fails on the SkylakeX kernels of OpenBLAS 0.3.30: columns 12-15 of trmm
+    # differ from column 0 at n = 31, 129 and 257, and of gemm at n = 257
+    from scipy.linalg.blas import dtrmm
+    width = sf.linalg.PANEL
+    spec = sf.fbm_wn_spec(n, 0.3)
+    factor = sf.montecarlo._signal_chol(spec)
+    system = sf.whitened_system(spec)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+
+    def column(p, neighbours):
+        panel = np.asfortranarray(neighbours)
+        panel[:, p] = v
+        return panel
+
+    alone = column(0, np.zeros((n, width)))
+    trmm0 = dtrmm(1.0, factor, alone, lower=1)[:, 0]
+    whiten0 = system._transform_each(alone)[:, 0]
+    for p in range(width):
+        panel = column(p, rng.standard_normal((n, width)))
+        assert np.array_equal(dtrmm(1.0, factor, panel, lower=1)[:, p], trmm0), p
+        assert np.array_equal(system._transform_each(panel)[:, p], whiten0), p
+    # the noise transform batches rows through one FFT call
+    rows = rng.standard_normal((width, n))
+    batched = sf.cosine_transform(rows)
+    for p in range(width):
+        assert np.array_equal(batched[p], sf.cosine_transform(rows[p])), p

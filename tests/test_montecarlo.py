@@ -94,6 +94,15 @@ def test_counter_based_streams():
     assert not np.array_equal(a, d)
 
 
+def test_sample_z_rejects_negative_rep_index():
+    # the Philox key is unsigned: numpy raised a bare OverflowError
+    spec = sf.fbm_wn_spec(64, 0.5)
+    with pytest.raises(sf.DomainError, match="rep_index"):
+        sf.sample_z(spec, 3, -1)
+    with pytest.raises(sf.DomainError, match="rep_index"):
+        sf.sample_z(spec, 3, 2 ** 64)
+
+
 def test_run_study_deterministic():
     spec = sf.fbm_wn_spec(512, 0.5)
     s1 = sf.run_study(spec, reps=20, seed=7)
@@ -142,11 +151,11 @@ USER_K0 = sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
         "user-K0"])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_staged_study_equals_one_replicate_calls(make_spec, workers):
-    # run_study works through chunks of replicates stage by stage; every
+    # run_study works through panels of replicates stage by stage; every
     # replicate must still equal the standalone sampler and estimators, bit
-    # for bit, across chunk boundaries and worker counts
+    # for bit, across panel boundaries, a ragged last panel and worker counts
     spec = make_spec()
-    reps, seed = 2 * sf.montecarlo._CHUNK + 5, 11
+    reps, seed = 4 * sf.linalg.PANEL + 5, 11
     system = sf.whitened_system(spec)
     draws = [sf.sample_z(spec, seed, r) for r in range(reps)]
     oracle = sf.run_study(spec, reps, seed, estimator="oracle", workers=workers)
