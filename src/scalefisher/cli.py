@@ -18,7 +18,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .estimator import InsufficientInformation, estimate
 from .fisher import fisher_report, rate_scan
-from .linalg import NotPositiveDefiniteError
+from .linalg import PANEL, NotPositiveDefiniteError
 from .model import (
     CONVENTIONS,
     DELTA_DELTAT,
@@ -31,7 +31,7 @@ from .model import (
     large_error_spec,
     user_spec,
 )
-from .montecarlo import run_study, sample_z
+from .montecarlo import _sample_each, run_study
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -254,9 +254,13 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise DomainError("need at least one replicate")
     lines = ["rep,index,z"]
-    for rep in range(args.reps):
-        z = sample_z(spec, args.seed, rep)
-        lines.extend(f"{rep},{i},{_fmt(v)}" for i, v in enumerate(z))
+    # a panel of PANEL replicates at a time, as run_study draws them; each
+    # column has the bits of its own sample_z
+    for start in range(0, args.reps, PANEL):
+        reps = range(start, min(start + PANEL, args.reps))
+        z = _sample_each(spec, args.seed, reps)
+        for j, rep in enumerate(reps):
+            lines.extend(f"{rep},{i},{_fmt(v)}" for i, v in enumerate(z[:, j]))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

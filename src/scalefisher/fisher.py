@@ -21,8 +21,7 @@ REGIME_SUPER = "supercritical"
 
 INTEGRAL_RTOL = 1e-6    # relative agreement of two panel doublings
 MAX_PANELS = 2048       # panels per side of the crossover before giving up
-CROSSOVER_SECTIONS = 32  # sub-brackets per step of the crossover search
-CROSSOVER_DECADES = 10   # decades per call when the crossover lies below 1e-30
+CROSSOVER_DECADES = 10  # decades per call when the crossover lies below 1e-30
 # lowest frequency the spectral route evaluates: the flat piece of the
 # integral starts no lower, and the crossover search stops here.  The
 # user-sequence tail overflows its node range below about 4e-307.
@@ -79,21 +78,21 @@ def _panel_sum(ratio_sq, anchor: float, lam_lo: float, m: int) -> float:
     return panel_integrate(ratio_sq, np.concatenate(edges))
 
 
-def _crossover_decades(spec: ModelSpec) -> tuple[float, float] | None:
-    """Bracket (10^-k, 10^(1-k)) of a crossover below 1e-30, for a spec whose
-    noise dominates at 1e-30: the first decade down where the signal
-    dominates (log r < 0), CROSSOVER_DECADES per call.  None if there is
-    none down to LAM_FLOOR but the integrand is flat and nonzero up to
-    pi * 1e-9, where ``fisher_integral`` would then treat it as flat, so
-    anchoring at pi is exact.  Otherwise the crossover lies below LAM_FLOOR:
-    QuadratureError reports it rather than integrate without an anchor."""
+def _crossover_decades(spec: ModelSpec) -> float | None:
+    """Crossover below 1e-30, for a spec whose noise dominates at 1e-30: the
+    geometric mean 10^(1/2-k) of the first decade (10^-k, 10^(1-k)) down
+    where the signal dominates (log r < 0), CROSSOVER_DECADES per call.
+    None if there is none down to LAM_FLOOR but the integrand is flat and
+    nonzero up to pi * 1e-9, where ``fisher_integral`` would then treat it
+    as flat, so anchoring at pi is exact.  Otherwise the crossover lies
+    below LAM_FLOOR: QuadratureError reports it rather than integrate
+    without an anchor."""
     exps = np.arange(-30, round(math.log10(LAM_FLOOR)) - 1, -1)
     for start in range(1, exps.size, CROSSOVER_DECADES):
         decades = 10.0 ** exps[start:start + CROSSOVER_DECADES]
         above = np.nonzero(spec.noise_to_signal(decades) < 0)[0]
         if above.size:
-            k = start + int(above[0])
-            return 10.0 ** float(exps[k]), 10.0 ** float(exps[k - 1])
+            return 10.0 ** (float(exps[start + int(above[0])]) + 0.5)
     floor, flat_lo = _ratio_sq(spec, np.array([LAM_FLOOR, np.pi * 1e-9]))
     if floor == 0.0 or not math.isclose(floor, flat_lo, rel_tol=INTEGRAL_RTOL):
         raise QuadratureError(
@@ -106,46 +105,24 @@ def _crossover_decades(spec: ModelSpec) -> tuple[float, float] | None:
 
 def spectral_crossover(spec: ModelSpec) -> float | None:
     """Frequency where the scaled signal spectrum crosses the noise spectrum
-    (log r = 0 for ``ModelSpec.noise_to_signal``), or None if the signal
-    dominates down to 1e-30, or the noise dominates down to LAM_FLOOR over
-    an integrand that is flat there.
+    (log r = 0 for ``ModelSpec.noise_to_signal``), to within one grid step,
+    or None if the signal dominates down to 1e-30, or the noise dominates
+    down to LAM_FLOOR over an integrand that is flat there.
 
-    The grid is geometric on [1e-30, pi], and ``_crossover_decades`` goes on
-    down if the noise dominates on all of it.  The first sign change is
-    narrowed by sectioning: each step evaluates CROSSOVER_SECTIONS - 1
-    geometric points inside the bracket in one call and keeps the first
-    sub-bracket where the sign changes, until no float lies strictly inside
-    the bracket.  Its geometric mean is taken as a product of square roots,
-    since lo * hi underflows below about 1e-154."""
+    The grid is geometric on [1e-30, pi]; the first sign change on it gives
+    the geometric mean of its bracket, taken as a product of square roots,
+    since lo * hi underflows below about 1e-154.  If the noise dominates on
+    all of it, ``_crossover_decades`` goes on down and gives the middle of
+    a decade.  The crossover only places ``fisher_integral``'s panels, so
+    it is not narrowed further."""
     grid = np.geomspace(1e-30, np.pi, 601)
-    sign = -np.sign(spec.noise_to_signal(grid))
+    sign = np.sign(spec.noise_to_signal(grid))
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size:
-        lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
-        sign_lo = sign[idx[0]]  # every move of lo keeps this sign
-    elif sign[0] > 0:
+        return math.sqrt(grid[idx[0]]) * math.sqrt(grid[idx[0] + 1])
+    if sign[0] < 0:
         return None
-    else:
-        bracket = _crossover_decades(spec)
-        if bracket is None:
-            return None
-        (lo, hi), sign_lo = bracket, 1.0
-    # geometric fractions of the bracket; they tend to k / SECTIONS as it
-    # narrows, so the last steps visit every float inside it
-    steps = np.arange(1, CROSSOVER_SECTIONS) / CROSSOVER_SECTIONS
-    while True:
-        log_ratio = math.log(hi) - math.log(lo)
-        frac = np.expm1(steps * log_ratio) / math.expm1(log_ratio) if log_ratio else steps
-        pts = lo + (hi - lo) * frac
-        pts = pts[(lo < pts) & (pts < hi)]
-        if pts.size == 0:
-            return math.sqrt(lo) * math.sqrt(hi)
-        flip = np.nonzero(spec.noise_to_signal(pts) * sign_lo >= 0)[0]
-        k = int(flip[0]) if flip.size else pts.size  # first point past the sign change
-        if k > 0:
-            lo = float(pts[k - 1])
-        if k < pts.size:
-            hi = float(pts[k])
+    return _crossover_decades(spec)
 
 
 def fisher_integral(spec: ModelSpec) -> float:
@@ -155,10 +132,12 @@ def fisher_integral(spec: ModelSpec) -> float:
     whose integrand is at most 1 at every n.
 
     Adaptive log-spaced panels anchored at the signal/noise crossover, where
-    the integrand drops off its plateau; panel counts are doubled, up to
-    MAX_PANELS, until two refinements agree to INTEGRAL_RTOL relative.  The
-    flat piece below anchor * 1e-9 (no lower than LAM_FLOOR) is evaluated
-    once and added to each.  DomainError at sigma = 0, where the scaling
+    the integrand drops off its plateau; ``spectral_crossover`` places the
+    anchor within one grid step of it (one decade below 1e-30), which only
+    moves the panel edges.  Panel counts are doubled, up to MAX_PANELS,
+    until two refinements agree to INTEGRAL_RTOL relative.  The flat piece
+    below anchor * 1e-9 (no lower than LAM_FLOOR) is evaluated once and
+    added to each.  DomainError at sigma = 0, where the scaling
     n / (2 pi sigma^4) is undefined.  The scaling divides by sigma^2 twice,
     since sigma^4 underflows below sigma = 1e-81 while the result is still
     finite; OverflowError if the result is beyond the float range.
@@ -390,8 +369,9 @@ def rate_scan(spec: ModelSpec, n_grid) -> RateScan:
     """Evaluate the integral and closed-form Fisher over an increasing grid
     of sample sizes and fit the growth exponents."""
     n_grid = [int(v) for v in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
-        raise DomainError("n_grid must be strictly increasing and nonempty")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or len(n_grid) < 2:
+        raise DomainError("n_grid must be strictly increasing and hold at least "
+                          "two sizes to fit a slope")
     ints, closeds = [], []
     for n in n_grid:
         sub = with_n(spec, n)

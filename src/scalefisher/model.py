@@ -330,12 +330,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be a positive integer")
-        if self.beta <= 0:
-            raise DomainError("beta must be positive")
-        if self.sigma < 0:
-            raise DomainError("sigma must be nonnegative")
-        if self.tau <= 0:
-            raise DomainError("tau must be positive")
+        # chained comparisons, so nan and inf fail them too
+        if not 0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 <= self.sigma < math.inf:
+            raise DomainError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not 0 < self.tau < math.inf:
+            raise DomainError(f"tau must be positive and finite, got {self.tau}")
         if self.K < 0 or int(self.K) != self.K:
             raise DomainError("K must be a nonnegative integer")
         if not -0.5 < self.alpha < 0.5:

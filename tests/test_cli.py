@@ -111,6 +111,21 @@ def test_simulate_byte_identical(capsys, tmp_path):
     assert first.startswith("0,0,")
 
 
+def test_simulate_panels_equal_single_draws(capsys, tmp_path):
+    # nine replicates span two panels of PANEL = 8; each block of rows is
+    # the replicate's own sample_z, bit for bit
+    assert sf.linalg.PANEL < 9
+    out = tmp_path / "sim.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--preset", "fbm-wn", "--H", "0.3",
+                         "--n", "64", "--seed", "42", "--reps", "9",
+                         "--output", str(out))
+    assert code == 0
+    spec = sf.fbm_wn_spec(64, 0.3)
+    rows = out.read_text().splitlines()[1:]
+    assert rows == [f"{rep},{i},{v:.17g}" for rep in range(9)
+                    for i, v in enumerate(sf.sample_z(spec, 42, rep))]
+
+
 def test_mc_study_zero_reps_rejected(capsys):
     code, _, err = run_cli(capsys, "mc-study", "--preset", "fbm-wn", "--H", "0.5",
                            "--n", "64", "--seed", "1", "--reps", "0")
@@ -243,11 +258,28 @@ USER_MODEL = ("--preset", "user", "--beta", "0.25", "--K", "0", "--alpha", "-0.2
     (("rate-scan", "--H", "0.5", "--n-grid", ","), "--n-grid"),
     # a fractional size ran as its floor
     (("rate-scan", "--H", "0.5", "--n-grid", "2.7,5"), "--n-grid"),
+    # non-finite model parameters passed ModelSpec's checks: a bare NaN (not
+    # JSON), 0.0 from every Fisher route, rows of nan; the error names the
+    # parameter
+    (("fisher", "--H", "0.5", "--n", "64", "--sigma", "nan", "--method", "closed-form"),
+     "sigma"),
+    (("fisher", "--H", "0.5", "--n", "64", "--sigma", "inf", "--method", "all"), "sigma"),
+    (("simulate", "--H", "0.5", "--n", "16", "--seed", "1", "--tau", "nan"), "tau"),
+    (("fisher", *USER_MODEL, "--beta", "nan", "--n", "100", "--gamma", "1",
+      "--method", "closed-form"), "beta"),
 ])
 def test_malformed_number_exit_code(capsys, argv, flag):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
     assert flag in err
+
+
+def test_rate_scan_one_size_is_a_validation_error(capsys):
+    # one point fixes no slope: lstsq returned its minimum-norm answer
+    code, out, err = run_cli(capsys, "rate-scan", "--preset", "fbm-wn", "--H", "0.3",
+                             "--n-grid", "1000")
+    assert code == 2 and not out
+    assert "two sizes" in err
 
 
 @pytest.mark.parametrize("argv, flag", [

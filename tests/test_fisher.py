@@ -162,9 +162,12 @@ def test_integral_sandwich():
         assert val <= high * (1 + 1e-9)
 
 
+# half a step of the crossover search's 601-point geometric grid on [1e-30, pi]
+HALF_GRID_STEP = (math.pi / 1e-30) ** (1 / 1200)
+
+
 def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
-    # one grid call, then one call per 32-section step until the bracket
-    # stops shrinking in floating point
+    # one grid call; the anchor is the geometric mean of the grid bracket
     calls = []
     orig = sf.ModelSpec.noise_to_signal
 
@@ -175,14 +178,16 @@ def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
     monkeypatch.setattr(sf.ModelSpec, "noise_to_signal", counted)
     spec = sf.fbm_wn_spec(10 ** 6, 0.3)
     lam_c = spectral_crossover(spec)
-    assert 0 < len(calls) <= 12
-    # the scaled signal spectrum equals the noise spectrum there: log r = 0
-    assert float(orig(spec, lam_c)) == pytest.approx(0.0, abs=1e-9)
+    assert len(calls) == 1
+    # the scaled signal spectrum crosses the noise spectrum within half a
+    # grid step either side: log r < 0 below, > 0 above
+    below, above = orig(spec, np.array([lam_c / HALF_GRID_STEP, lam_c * HALF_GRID_STEP]))
+    assert below < 0 < above
 
 
 def test_integral_evaluates_spectrum_sparingly(monkeypatch):
-    # the crossover search, then two refinements that share one evaluation
-    # of the flat piece below anchor * 1e-9
+    # the crossover grid, the flat piece below anchor * 1e-9, then two
+    # refinements
     calls = []
     orig = sf.ModelSpec.noise_to_signal
 
@@ -192,8 +197,24 @@ def test_integral_evaluates_spectrum_sparingly(monkeypatch):
 
     monkeypatch.setattr(sf.ModelSpec, "noise_to_signal", counted)
     sf.fisher_integral(sf.fbm_wn_spec(10 ** 6, 0.3))
-    assert 0 < len(calls) <= 14
+    assert 0 < len(calls) <= 4
     assert calls.count(1) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    sf.fbm_wn_spec(10 ** 6, 0.3),
+    sf.integrated_fbm_spec(10 ** 6, 0.2),
+    sf.user_spec(10 ** 5, 0.1, 1.0, 1.0, 0, [1.0, 0.3, 0.1], -0.05,
+                 sf.SlowlyVaryingSpec("constant", 0.3)),
+], ids=["fbm-wn", "integrated-fbm", "user"])
+def test_integral_does_not_depend_on_anchor_within_grid_bracket(spec, monkeypatch):
+    # the crossover only places the panels: anchoring them at either end of
+    # the grid bracket instead of its geometric mean moves no digit that counts
+    lam_c = spectral_crossover(spec)
+    value = sf.fisher_integral(spec)
+    for end in (lam_c / HALF_GRID_STEP, lam_c * HALF_GRID_STEP):
+        monkeypatch.setattr(sf.fisher, "spectral_crossover", lambda s, end=end: end)
+        assert sf.fisher_integral(spec) == pytest.approx(value, rel=1e-13)
 
 
 @pytest.mark.parametrize("e, crossover_below", [(100, 1e-60), (150, 1e-90), (200, 1e-120),
@@ -513,6 +534,9 @@ def test_rate_scan_validation():
         sf.rate_scan(flat_spec(10), [100, 100])
     with pytest.raises(sf.DomainError):
         sf.rate_scan(flat_spec(10), [])
+    # one size leaves the slope undetermined
+    with pytest.raises(sf.DomainError):
+        sf.rate_scan(flat_spec(10), [100])
 
 
 def test_with_n_helper():

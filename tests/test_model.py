@@ -3,6 +3,7 @@ spectral-density cross-validation, and spec validation."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -600,6 +601,15 @@ def test_model_spec_validation():
         sf.ModelSpec(n=10, beta=0.5, sigma=1, tau=1.0, K=0,
                      x_cov=sf.AutocovarianceSpec(kind="fgn", hurst=0.3),
                      ell=sf.SlowlyVaryingSpec("constant", 1.0), alpha=0.2)
+
+
+@pytest.mark.parametrize("field", ["sigma", "tau", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_spec_rejects_non_finite_parameters(field, value):
+    # nan passed every comparison: the CLI printed a bare NaN (not JSON) or
+    # 0.0 for every Fisher route, and simulate wrote rows of nan
+    with pytest.raises(sf.DomainError, match=f"{field} must be"):
+        replace(sf.fbm_wn_spec(64, 0.5), **{field: value})
 
 
 def test_fbm_wn_diamond():
