@@ -1,10 +1,10 @@
-"""Gauss-Legendre panel quadrature, and power-law cosine tails
-``sum_{k >= k0} k^(-p) ell(k) cos(k lam)`` by the Abel-Plana summation
-formula, which turns the oscillating tail into two smooth integrals along the
-ray ``k0 + i y``."""
+"""Gauss-Legendre panel quadrature, and power-law tails
+``sum_{k >= k0} k^(-p) ell(k) cos(k lam)`` (also at lam = 0) by the
+Abel-Plana summation formula, which turns them into smooth integrals."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -105,3 +105,23 @@ def cos_tail_sum(p: float, lam, k_start: int, amp):
     re = 0.5 * a0 - first[:, 0] - 2.0 * (np.cosh(ly) @ (w2 * a2.imag))
     im = first[:, 1] - 2.0 * (np.sinh(ly) @ (w2 * a2.real))
     return re * np.cos(k_start * lam) - im * np.sin(k_start * lam)
+
+
+def power_tail_sum(p: float, k_start: int, amp_of_log) -> float:
+    """``sum_{k >= k_start} a(k)``, ``a(x) = x^(-p) amp(x)``, p > 1, with
+    ``amp_of_log(s) = amp(e^s)`` at real s and s = log(k0 + i y) (e^s is never
+    formed), by Abel-Plana at lam = 0 (see ``cos_tail_sum``): a(k0)/2 +
+    int_k0^inf a - 2 int_0^inf Im a(k0+iy) / (e^(2 pi y) - 1) dy.  The first
+    integral, in s = log x, takes panels geometric in u + d up to e^(-u) =
+    1e-87, u = (p-1)(s - log k0), d = min((p-1) log k0, 1): each resolves
+    e^(-u) and keeps amp's singularity at s = 0 out of its ellipse."""
+    c, L = p - 1.0, math.log(k_start)
+    d = min(c * L, 1.0)
+    m = math.ceil(_PANELS_PER_DECADE * math.log10((d + 200.0) / d))
+    u, wu = _flat_rule(d * 10.0 ** (np.arange(m + 1) / _PANELS_PER_DECADE))
+    s = L + (u - d) / c
+    y, wy = _flat_rule(_BOSE_EDGES)
+    z = np.log(k_start + 1j * y)
+    ray = np.dot(wy / np.expm1(2.0 * np.pi * y), (np.exp(-p * z) * amp_of_log(z)).imag)
+    line = np.dot(wu * np.exp(-c * s), amp_of_log(s)) / c
+    return float(0.5 * k_start ** -p * amp_of_log(L) + line - 2.0 * ray)

@@ -11,18 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._quad import QuadratureError, cos_tail_sum
+from ._quad import cos_tail_sum, power_tail_sum
 
 # frequencies per block of the series: bounds its block x lag and block x
 # quadrature-node temporaries
 SERIES_BLOCK = 4096
-# agreement of two successive truncations of sum_gamma_squared
-SUM_SQ_RTOL = 1e-6
+SUM_SQ_HEAD = 64  # lags below max(SUM_SQ_HEAD, len(values)) sum_gamma_squared sums directly
 # even Taylor orders k = 0, 2, ..., 2 (LATTICE_TERMS - 1) of the folded lattice
 # sum's series in the shift (see _folded_lattice)
 LATTICE_TERMS = 16
@@ -61,14 +60,13 @@ def _moment(stencil, m: int) -> float:
     return sum(c * a ** m for c, a in stencil)
 
 
-def _binomial_series(p: float, moment, w, step: int):
-    """w^p sum_m binom(p, m) moment(m) w^(-m) at w > 0, from the first m >= 1
-    with a nonzero moment, every ``step``-th term (2 when the odd moments
-    vanish).  Its length is fixed at the smallest w, where it converges
-    slowest: it stops at the first term below double precision there.
-    """
+def _series_coefficients(p: float, moment, w_min: float, step: int):
+    """(m0, b) of sum_m binom(p, m) moment(m) w^(p-m) = w^(p-m0) sum_i b_i
+    w^(-step i), m0 the first m >= 1 with a nonzero moment (step 2 when the
+    odd moments vanish), up to the first term below double precision at the
+    smallest w, w_min, where the series converges slowest."""
     m0 = next(m for m in range(1, 400) if moment(m) != 0.0)
-    coefs, binom, total, inv_min = [], 1.0, 0.0, 1.0 / float(w.min())
+    coefs, binom, total, inv_min = [], 1.0, 0.0, 1.0 / w_min
     for m in range(1, 400):
         binom *= (p - (m - 1)) / m
         if m < m0 or (m - m0) % step:
@@ -78,6 +76,12 @@ def _binomial_series(p: float, moment, w, step: int):
         total += term
         if abs(term) <= np.finfo(float).eps * abs(total):
             break
+    return m0, coefs
+
+
+def _binomial_series(p: float, moment, w, step: int):
+    """The series of ``_series_coefficients`` at w > 0, by Horner in w^-step."""
+    m0, coefs = _series_coefficients(p, moment, float(w.min()), step)
     v = (1.0 / w) ** step
     series = np.full_like(w, coefs[-1])
     for b in coefs[-2::-1]:
@@ -106,42 +110,43 @@ def _power_stencil(p: float, stencil, w, switch: float):
     wf = w[~near]
     if wf.size:
         step = 2 if sorted(stencil) == sorted((c, -a) for c, a in stencil) else 1
-        out[~near] = _binomial_series(p, lambda m: _moment(stencil, m), wf, step)
+        out[~near] = _binomial_series(p, partial(_moment, stencil), wf, step)
     return out
-
-
-def _fgn_kernel(H: float, w):
-    """Second difference of |w|^(2H)/2 at real lag w; the series from |w| = 8."""
-    return 0.5 * _power_stencil(2 * H, _SECOND_DIFF, np.abs(np.asarray(w, dtype=float)), 8.0)
-
-
-def gamma_fgn(H: float, k):
-    """Autocovariance of unit-variance fractional Gaussian noise at lag k."""
-    if not 0.0 < H < 1.0:
-        raise DomainError(f"Hurst index must lie in (0,1), got {H}")
-    k = np.asarray(k)
-    if np.any(k < 0):
-        raise DomainError("lag must be nonnegative")
-    return _fgn_kernel(H, k) if k.ndim else float(_fgn_kernel(H, k))
 
 
 # the integrated-motion stencils reach |a_j| = 2: their series from w = 3 on
 _INTEGRATED_SWITCH = 3.0
 
 
-def gamma_integrated_fbm(H: float, k):
-    """Stationary autocovariance of consecutive-window increments of
-    integrated fractional motion (window length 1), valid for H in (0, 1/4):
-    the fourth difference of |k|^(2H+2) / (2 (2H+1) (2H+2)).
-    """
-    if not 0.0 < H < 0.25:
-        raise DomainError(f"integrated-motion preset requires H in (0, 1/4), got {H}")
+def _preset_kernel(xc) -> tuple:
+    """(p, stencil, switch, divisor) of a preset's gamma_k = sum_j c_j |k + a_j|^p
+    / divisor, a series from k = switch on: fgn the second difference of
+    |k|^(2H) / 2, the integrated preset the fourth of |k|^(2H+2) / (2 (2H+1) (2H+2))."""
+    H = xc.hurst
+    if xc.kind == "fgn":
+        return 2 * H, _SECOND_DIFF, 8.0, 2.0
+    return 2 * H + 2, _FOURTH_DIFF, _INTEGRATED_SWITCH, 2.0 * (2 * H + 1) * (2 * H + 2)
+
+
+def _preset_gamma(xc, k):
+    """gamma_k / scale of a preset AutocovarianceSpec at lags k >= 0."""
     k = np.asarray(k)
     if np.any(k < 0):
         raise DomainError("lag must be nonnegative")
-    out = (_power_stencil(2 * H + 2, _FOURTH_DIFF, k, _INTEGRATED_SWITCH)
-           / (2.0 * (2 * H + 1) * (2 * H + 2)))
+    p, stencil, switch, divisor = _preset_kernel(xc)
+    out = _power_stencil(p, stencil, k, switch) / divisor
     return out if k.ndim else float(out)
+
+
+def gamma_fgn(H: float, k):
+    """Autocovariance of unit-variance fractional Gaussian noise at lag k."""
+    return _preset_gamma(AutocovarianceSpec("fgn", H), k)
+
+
+def gamma_integrated_fbm(H: float, k):
+    """Stationary autocovariance of consecutive-window increments of
+    integrated fractional motion (window length 1), valid for H in (0, 1/4)."""
+    return _preset_gamma(AutocovarianceSpec("integrated_fbm_increment", H), k)
 
 
 def integrated_fbm_boundary_cov(H: float, n: int) -> np.ndarray:
@@ -180,12 +185,12 @@ _MACHEP = 2.0 ** -53
 
 
 def _hurwitz_zeta(x: float, q: float) -> float:
-    """Hurwitz zeta(x, q) = sum_{j >= 0} (j + q)^-x for x > 1 and q > 0, by
-    Euler-Maclaurin summation (DLMF 25.11), step for step as Cephes ``zeta``:
-    direct terms until at least nine are summed and the shifted argument
-    exceeds 9, then the tail's integral, half its first term and up to 12
-    Bernoulli corrections, each stopping once a term is below 2^-53 of the
-    sum."""
+    """Hurwitz zeta(x, q) = sum_{j >= 0} (j + q)^-x for q > 0 and x > 1 (its
+    continuation at x < 1) by Euler-Maclaurin (DLMF 25.11), step for step as
+    Cephes ``zeta``: direct terms until at least nine are summed and the
+    shifted argument exceeds 9, then the tail's integral, half its first term
+    and up to 12 Bernoulli corrections, each stopping once a term is below
+    2^-53 of the sum."""
     s = q ** -x
     a, i, b = q, 0, 0.0
     while i < 9 or a <= 9.0:
@@ -278,10 +283,10 @@ class AutocovarianceSpec:
         if self.kind not in ("fgn", "user_sequence", "integrated_fbm_increment"):
             raise DomainError(f"unknown autocovariance kind {self.kind!r}")
         if self.kind == "fgn" and not (self.hurst is not None and 0 < self.hurst < 1):
-            raise DomainError("fgn requires Hurst index in (0,1)")
+            raise DomainError(f"fgn requires Hurst index in (0,1), got {self.hurst}")
         if self.kind == "integrated_fbm_increment" and not (
                 self.hurst is not None and 0 < self.hurst < 0.25):
-            raise DomainError("integrated_fbm_increment requires H in (0, 1/4)")
+            raise DomainError(f"integrated_fbm_increment requires H in (0, 1/4), got {self.hurst}")
         if self.kind == "user_sequence" and len(self.values) == 0:
             raise DomainError("user_sequence requires at least gamma_0")
 
@@ -358,16 +363,11 @@ class ModelSpec:
     # -- autocovariance ----------------------------------------------------
 
     def gamma(self, k):
-        """gamma_k of the (stationary part of the) signal process.
-
-        user_sequence specs are extended beyond the provided values by the
-        asymptote sign(-alpha) k^(-2 alpha - 1) ell(k).
-        """
+        """gamma_k of the (stationary part of the) signal process; a user
+        sequence goes on beyond its values as sign(-alpha) k^(-2 alpha - 1) ell(k)."""
         xc = self.x_cov
-        if xc.kind == "fgn":
-            return xc.scale * gamma_fgn(xc.hurst, k)
-        if xc.kind == "integrated_fbm_increment":
-            return xc.scale * gamma_integrated_fbm(xc.hurst, k)
+        if xc.kind != "user_sequence":
+            return xc.scale * _preset_gamma(xc, k)
         k_arr = np.atleast_1d(np.asarray(k, dtype=int))
         vals = np.asarray(xc.values, dtype=float)
         out = np.empty(k_arr.shape, dtype=float)
@@ -431,19 +431,16 @@ class ModelSpec:
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     def amplitude(self, x):
-        """Slowly varying amplitude of the power law,
-        gamma_k ~ sign(-alpha) k^(-2 alpha - 1) amplitude(k).
+        """Slowly varying amplitude c (log x)^rho at Re x > 1 of the power law
+        gamma_k ~ sign(-alpha) k^(-2 alpha - 1) amplitude(k).  A preset's ell
+        carries ``x_cov.scale``; a user sequence's gets it here."""
+        return self.amplitude_of_log(np.log(x))
 
-        A preset's ell already carries ``x_cov.scale``; a user sequence's does
-        not (gamma scales its extension afterwards), so it is applied here.
-        For complex x with Re x > 1 this is the analytic continuation
-        c (log x)^rho of c |log x|^rho.
-        """
+    def amplitude_of_log(self, s):
+        """amplitude(e^s) for s > 0 and complex s, without forming e^s."""
         scale = self.x_cov.scale if self.x_cov.kind == "user_sequence" else 1.0
-        if np.iscomplexobj(x):
-            rho = self.ell.rho if self.ell.kind == "log_power" else 0.0
-            return scale * self.ell.c * np.log(x) ** rho
-        return scale * self.ell(x)
+        rho = self.ell.rho if self.ell.kind == "log_power" else 0.0
+        return scale * self.ell.c * s ** rho
 
     def _gamma_tail_cos(self, lam, k_start: int):
         """sum_{k >= k_start} gamma_k cos(k lam) from the asymptote of gamma."""
@@ -510,34 +507,29 @@ class ModelSpec:
                 - np.log1p(q ** s * _folded_lattice(s, q)))
 
     def sum_gamma_squared(self) -> float:
-        """sum_{k in Z} gamma_k^2, by truncation plus a power-law tail estimate.
-
-        Requires alpha > -1/4 (square-summable).  The estimate amp^2 * (m+1/2)^
-        (-4 alpha - 1)/(4 alpha + 1) uses the local power-law amplitude at the
-        truncation point; the truncation point is doubled until two corrected
-        totals agree to ``SUM_SQ_RTOL``, which bounds the tail-estimate error.
-        """
+        """sum_{k in Z} gamma_k^2, exact to rounding, for alpha > -1/4: lags
+        below k0 = max(SUM_SQ_HEAD, len(values)) directly; from k0 on, gamma_k
+        = k^(-2 alpha - 1) sum_i b_i k^(-2 i) (a preset's binomial series, the
+        stencils being symmetric; b_0 = sign(-alpha) scale c for a constant
+        ell), and its square's series sums to sum_j A_j zeta(4 alpha + 2 + 2 j,
+        k0); a log-power ell's tail by ``power_tail_sum``."""
         if self.alpha <= -0.25:
             raise DomainError("sum of squared autocovariances diverges for alpha <= -1/4")
-
-        def total(m: int) -> float:
-            g = self.gamma_array(m)
-            partial = g[0] ** 2 + 2.0 * float(np.sum(g[1:] ** 2))
-            amp2 = float(g[m]) ** 2 * float(m) ** (4 * self.alpha + 2)
-            tail = 2.0 * amp2 * (m + 0.5) ** (-4 * self.alpha - 1) / (4 * self.alpha + 1)
-            return partial + tail
-
-        m = 1 << 14
-        prev = total(m)
-        while m <= (1 << 23):
-            m <<= 1
-            cur = total(m)
-            if abs(cur - prev) <= SUM_SQ_RTOL * max(abs(cur), 1e-300):
-                return cur
-            prev = cur
-        raise QuadratureError(
-            "squared-autocovariance sum did not stabilize",
-            info={"last": prev, "k_max": m, "rtol": SUM_SQ_RTOL})
+        xc, e = self.x_cov, 4.0 * self.alpha + 2.0
+        k0 = max(SUM_SQ_HEAD, len(xc.values))
+        g = self.gamma_array(k0 - 1)
+        head = g[0] ** 2 + 2.0 * float(np.sum(g[1:] ** 2))
+        if xc.kind != "user_sequence":
+            p, stencil, _, divisor = _preset_kernel(xc)
+            _, b = _series_coefficients(p, partial(_moment, stencil), k0, 2)
+            b = np.array(b) * (xc.scale / divisor)
+        elif self.ell.kind == "constant":
+            b = np.array([np.sign(-self.alpha) * xc.scale * self.ell.c])
+        else:
+            tail = power_tail_sum(e, k0, lambda s: self.amplitude_of_log(s) ** 2)
+            return head + 2.0 * np.sign(self.alpha) ** 2 * tail
+        return head + 2.0 * sum(a * _hurwitz_zeta(e + 2 * j, k0)
+                                for j, a in enumerate(np.convolve(b, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -564,28 +556,23 @@ def large_error_spec(n: int, H: float, beta: float, sigma: float = 1.0,
     """Long-range dependent signal observed under noise growing like n^beta:
     K = 0, alpha = 1/2 - H with H in (1/2, 1); requires 0 < beta < H - 1/2.
 
-    For H < 3/4 gamma is rescaled so that sum gamma_k^2 = 1; for H >= 3/4
-    the squared autocovariances are not summable and gamma is left as is.
-    """
+    For H < 3/4 gamma is rescaled so that sum gamma_k^2 = 1, which normalises
+    exactly (``sum_gamma_squared`` is exact to rounding); for H >= 3/4 it is
+    left as is, the squares not being summable."""
     if not 0.5 < H < 1:
         raise DomainError(f"large-error preset requires H in (1/2, 1), got {H}")
     if not 0 < beta < H - 0.5:
         raise DomainError(f"large-error preset requires 0 < beta < H - 1/2 = {H - 0.5}")
-    scale = 1.0
-    if H < 0.75:
-        base = ModelSpec(
-            n=n, beta=beta, sigma=sigma, tau=tau, K=0,
-            x_cov=AutocovarianceSpec(kind="fgn", hurst=H),
-            ell=SlowlyVaryingSpec("constant", H * abs(2 * H - 1)),
-            alpha=0.5 - H, preset="large-error")
-        scale = 1.0 / math.sqrt(base.sum_gamma_squared())
-    return ModelSpec(
+    spec = ModelSpec(
         n=n, beta=beta, sigma=sigma, tau=tau, K=0,
-        x_cov=AutocovarianceSpec(kind="fgn", hurst=H, scale=scale),
-        ell=SlowlyVaryingSpec("constant", scale * H * abs(2 * H - 1)),
-        alpha=0.5 - H,
-        preset="large-error",
-    )
+        x_cov=AutocovarianceSpec(kind="fgn", hurst=H),
+        ell=SlowlyVaryingSpec("constant", H * abs(2 * H - 1)),
+        alpha=0.5 - H, preset="large-error")
+    if H >= 0.75:
+        return spec
+    scale = 1.0 / math.sqrt(spec.sum_gamma_squared())
+    return replace(spec, x_cov=replace(spec.x_cov, scale=scale),
+                   ell=SlowlyVaryingSpec("constant", scale * H * abs(2 * H - 1)))
 
 
 def integrated_fbm_spec(n: int, H: float, sigma: float = 1.0, tau: float = 1.0) -> ModelSpec:

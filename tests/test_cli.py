@@ -39,6 +39,19 @@ def test_fisher_closed_form_h_half(capsys):
     assert payload["exact"] is None and payload["integral"] is None
 
 
+def test_fisher_closed_form_log_power_supercritical(capsys):
+    # diamond = 10: n^(1 - 4 beta) / 2 times sum gamma_k^2 = 1 + 2 (0.5^2) +
+    # 2 (0.3^2) sum_{k >= 2} k^-1.6 log k; with mpmath at 40 digits the sum is
+    # 1.5 + 0.18 (-mpmath.zeta(1.6, 2, 1)) and the closed form 100^0.2 / 2 times it
+    code, out, _ = run_cli(capsys, "fisher", "--preset", "user", "--n", "100",
+                           "--beta", "0.2", "--K", "0", "--alpha", "-0.1", "--gamma", "1,0.5",
+                           "--ell", "logpow:0.3:0.5", "--method", "closed-form")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["regime"] == "supercritical"
+    assert payload["closed_form"] == pytest.approx(2.496805035274835188, rel=1e-13)
+
+
 def test_fisher_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "fisher", "--preset", "fbm-wn", "--H", "1.5",
                            "--n", "100")

@@ -394,7 +394,7 @@ def test_closed_form_supercritical_normalized():
     spec = sf.large_error_spec(10 ** 6, 0.6, 0.05)  # normalized: sum gamma^2 = 1
     report = sf.fisher_closed_form(spec)
     expect = (1e6) ** (1.0 - 4.0 * 0.05) / 2.0
-    assert report.closed_form == pytest.approx(expect, rel=1e-4)
+    assert report.closed_form == pytest.approx(expect, rel=1e-13)
     assert report.regime == "supercritical"
     assert report.diamond == pytest.approx(10.0, rel=1e-12)
     assert report.rate_exponent == pytest.approx(0.8)

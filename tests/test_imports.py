@@ -24,6 +24,11 @@ spec = sf.fbm_wn_spec(512, 0.3)
 sf.fisher_integral(spec)
 sf.fisher_closed_form(spec)
 sf.rate_scan(spec, [10 ** 4, 10 ** 5])
+# the supercritical sums: Hurwitz-zeta tails, and the Abel-Plana tail of a
+# log-power amplitude
+sf.fisher_closed_form(sf.large_error_spec(10 ** 5, 0.6, 0.05))
+sf.fisher_closed_form(sf.user_spec(100, beta=0.2, sigma=1.0, tau=1.0, K=0, gamma_values=[1, 0.5],
+                                   alpha=-0.1, ell=sf.SlowlyVaryingSpec("log_power", 0.3, 0.5)))
 codes = []
 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
     for argv in (["fisher", "--n", "512", "--method", "integral"],

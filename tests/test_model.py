@@ -101,7 +101,7 @@ def test_fgn_large_lag_series_consistent():
     for H in (0.1, 0.3, 0.6, 0.9):
         k = np.array([7.999, 8.001, 20, 100, 10_000])
         direct = 0.5 * ((k + 1) ** (2 * H) + np.abs(k - 1) ** (2 * H) - 2 * k ** (2 * H))
-        mine = sf.model._fgn_kernel(H, k)
+        mine = sf.gamma_fgn(H, k)
         assert np.allclose(mine[:3], direct[:3], rtol=1e-10)
         asym = H * (2 * H - 1) * k[-1] ** (2 * H - 2)
         if H != 0.5:
@@ -346,6 +346,18 @@ def test_hurwitz_zeta_high_precision_values():
         assert _hurwitz_zeta(x, 2.0) == pytest.approx(ref, rel=5e-16)
 
 
+# the analytic continuation zeta(x, q) at x < 1, with mpmath 1.3.0 at 40
+# significant digits: mpmath.zeta(mpmath.mpf(x), q)
+@pytest.mark.parametrize("x, q, ref", [
+    (0.2, 64, -34.604271539300567635),
+    (0.5, 10, -6.1651246420854153802),
+    (0.6, 64, -13.153780057510576162),
+    (0.9, 2, -10.430114019402254591),
+])
+def test_hurwitz_zeta_continues_below_one(x, q, ref):
+    assert _hurwitz_zeta(x, q) == pytest.approx(ref, rel=5e-16)
+
+
 def test_rising_binomial_against_exact_rationals():
     # C(s+k-1, k) = prod (s-1+i) / i in exact rational arithmetic at the
     # binary value of s; the float products stay within 2e-15 of it
@@ -558,17 +570,56 @@ def test_sum_gamma_squared_white_noise():
     assert spec.sum_gamma_squared() == pytest.approx(1.0, rel=1e-9)
 
 
+def _user(values, alpha, ell, K=1):
+    return sf.user_spec(16, beta=0.2, sigma=1.0, tau=1.0, K=K, gamma_values=values,
+                        alpha=alpha, ell=ell)
+
+
+# the user spec of the benchmark's series op, and the supercritical log-power
+# spec of the CLI test
+USER_CONSTANT = _user((2.0, 1.0, 0.7), -0.2, sf.SlowlyVaryingSpec("constant", 0.5))
+USER_LOGPOW = _user((1.0, 0.5), -0.1, sf.SlowlyVaryingSpec("log_power", 0.3, 0.5), K=0)
+
+# sum over Z of gamma_k^2 at the binary values of the float inputs, with
+# mpmath 1.3.0 at 40 significant digits.  Presets: the stencil summed directly
+# to k = 2000 (gamma_0^2 + 2 sum_{0 < k < 2000} gamma_k^2), plus the tail:
+# gamma_k's binomial series sum_m binom(p, m) M_m k^(p - m) / divisor,
+# squared termwise and summed by mpmath.zeta(2m' - 2p, 2000).  User specs:
+# the values, plus 2 c^2 mpmath.zeta(4 alpha + 2, len(values)) for a constant
+# ell, and 2 c^2 (-mpmath.zeta(1.6, 2, 1)) (rho = 1/2) for the log-power one.
+SUM_GAMMA_SQUARED_40_DIGITS = (
+    (sf.fbm_wn_spec(16, 0.55), 1.0158264190136361966),
+    (sf.fbm_wn_spec(16, 0.6), 1.0821308206827433105),
+    (sf.fbm_wn_spec(16, 0.7), 1.9286298381837945562),
+    (sf.fbm_wn_spec(16, 0.74), 7.5209448305278799351),
+    (sf.integrated_fbm_spec(16, 0.1), 0.055240229533088527757),
+    (USER_CONSTANT, 9.058153579764844776),
+    (USER_LOGPOW, 1.9879919760339790643),
+)
+
+
 def test_sum_gamma_squared_brute():
-    spec = sf.fbm_wn_spec(16, 0.6)  # gamma is the unscaled fGn autocovariance
-    k = np.arange(1, 3_000_000)
-    g = sf.gamma_fgn(0.6, k)
-    brute = sf.gamma_fgn(0.6, 0) ** 2 + 2 * float(np.sum(g ** 2))
-    assert spec.sum_gamma_squared() == pytest.approx(brute, rel=1e-4)
+    for spec, ref in SUM_GAMMA_SQUARED_40_DIGITS:
+        assert spec.sum_gamma_squared() == pytest.approx(ref, rel=1e-14)
+    # more values than the directly summed head: the same sequence
+    longer = replace(USER_CONSTANT, x_cov=replace(
+        USER_CONSTANT.x_cov, values=tuple(USER_CONSTANT.gamma_array(99))))
+    assert longer.sum_gamma_squared() == pytest.approx(9.058153579764844776, rel=1e-14)
+    # scale multiplies every gamma_k, so the sum by scale^2
+    for spec in (USER_CONSTANT, USER_LOGPOW):
+        scaled = replace(spec, x_cov=replace(spec.x_cov, scale=3.0))
+        assert scaled.sum_gamma_squared() == pytest.approx(9.0 * spec.sum_gamma_squared(),
+                                                           rel=1e-14)
+    # alpha = 0: sign(-alpha) = 0 extends gamma by zeros, whatever ell is
+    for ell in (sf.SlowlyVaryingSpec("constant", 0.7),
+                sf.SlowlyVaryingSpec("log_power", 0.7, 0.4)):
+        spec = _user((1.0, 0.3, -0.2), 0.0, ell)
+        assert spec.sum_gamma_squared() == 1.0 + 2.0 * (0.3 ** 2 + 0.2 ** 2)
 
 
 def test_large_error_normalization():
     spec = sf.large_error_spec(16, 0.6, 0.05)  # H < 3/4: normalized
-    assert spec.sum_gamma_squared() == pytest.approx(1.0, rel=1e-5)
+    assert spec.sum_gamma_squared() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_sum_gamma_squared_divergent():
