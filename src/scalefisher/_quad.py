@@ -1,11 +1,11 @@
 """Gauss-Legendre panel quadrature, and power-law tails
 ``sum_{k >= k0} k^(-p) ell(k) cos(k lam)`` (also at lam = 0) by the
-Abel-Plana summation formula, which turns them into smooth integrals."""
+Abel-Plana summation formula, which turns them into smooth integrals.  The
+amplitude ell is passed as a function of log x, ``amp_of_log(s) = ell(e^s)``."""
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,18 +18,14 @@ class QuadratureError(RuntimeError):
         self.info = dict(info or {})
 
 
-@lru_cache(maxsize=64)
-def gauss_nodes(m: int):
-    return np.polynomial.legendre.leggauss(m)
-
-
 NODES = 16  # Gauss-Legendre nodes per panel, in every panel rule
+GAUSS_RULE = np.polynomial.legendre.leggauss(NODES)  # (nodes, weights) on [-1, 1]
 
 
 def _panel_nodes(edges):
     """Gauss nodes of each panel, shape (panels, NODES), and the half-widths."""
     edges = np.asarray(edges, dtype=float)
-    x, _ = gauss_nodes(NODES)
+    x, _ = GAUSS_RULE
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + half[:, None] * x[None, :], half
@@ -42,13 +38,13 @@ def panel_integrate(fun, edges) -> float:
     """
     pts, half = _panel_nodes(edges)
     vals = fun(pts.ravel()).reshape(pts.shape)
-    return float(np.sum((vals @ gauss_nodes(NODES)[1]) * half))
+    return float(np.sum((vals @ GAUSS_RULE[1]) * half))
 
 
 def _flat_rule(edges):
     """Nodes and weights of the Gauss panels on ``edges``, flattened."""
     pts, half = _panel_nodes(edges)
-    return pts.ravel(), (half[:, None] * gauss_nodes(NODES)[1][None, :]).ravel()
+    return pts.ravel(), (half[:, None] * GAUSS_RULE[1][None, :]).ravel()
 
 
 # e^(-lam y) is below 5e-18 past lam y = _DECAY_REACH, so the first integral
@@ -62,9 +58,10 @@ _PANELS_PER_DECADE = 3
 _BOSE_EDGES = np.linspace(0.0, 12.0, 13)
 
 
-def cos_tail_sum(p: float, lam, k_start: int, amp):
+def cos_tail_sum(p: float, lam, k_start: int, amp_of_log):
     """``sum_{k >= k_start} a(k) cos(k lam)``, ``a(x) = x^(-p) amp(x)``, for
-    a 1-D array ``lam`` in (0, pi] and ``k_start >= 2``.
+    a 1-D array ``lam`` in (0, pi] and ``k_start >= 2``, with
+    ``amp_of_log(s) = amp(e^s)`` at s = log(k0 + i y) (e^s is never formed).
 
     Abel-Plana (DLMF 2.10(i)) for a(x) e^(i x lam), with the integral over
     [k0, inf) turned onto the ray k0 + i y, gives the real part of
@@ -74,11 +71,12 @@ def cos_tail_sum(p: float, lam, k_start: int, amp):
                           / (e^(2 pi y) - 1) dy].
 
     It holds for 0 < lam < 2 pi when a is analytic and power-bounded on
-    Re x >= k0, so ``amp`` must accept complex x there.  Neither integrand
-    oscillates.  The first integral's panels lie on one fixed geometric
-    lattice, and each lam takes the whole panels up to y = 40 / lam, so its
-    nodes, and up to rounding its value, do not depend on the other lam in
-    the call.  The lam needing the same panel count form one group: a real
+    Re x >= k0, so ``amp_of_log`` must accept complex s.  a is evaluated as
+    exp(-p s) amp_of_log(s), s = log x: numpy's complex power x^(-p) gives
+    the same bits.  Neither integrand oscillates.  The first integral's
+    panels lie on one fixed geometric lattice, and each lam takes the whole
+    panels up to y = 40 / lam, so its nodes, and up to rounding its value,
+    do not depend on the other lam in the call.  The lam needing the same panel count form one group: a real
     matrix of exponentials over a prefix of the shared nodes, times two real
     vectors.
     """
@@ -88,8 +86,8 @@ def cos_tail_sum(p: float, lam, k_start: int, amp):
     y1, w1 = _flat_rule(np.concatenate(
         [[0.0], 10.0 ** (np.arange(n_geo + 1) / _PANELS_PER_DECADE)]))
     y2, w2 = _flat_rule(_BOSE_EDGES)
-    x = np.concatenate([[0.0], y1, y2]) * 1j + k_start
-    a = x ** (-p) * amp(x)
+    z = np.log(np.concatenate([[0.0], y1, y2]) * 1j + k_start)
+    a = np.exp(-p * z) * amp_of_log(z)
     a0, a1, a2 = a[0].real, a[1:1 + y1.size], a[1 + y1.size:]
     # columns: the weighted imaginary and real parts of a along the ray
     wa1 = np.stack([w1 * a1.imag, w1 * a1.real], axis=1)

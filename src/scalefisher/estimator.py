@@ -145,15 +145,15 @@ def _likelihood_root(z2: np.ndarray, w: np.ndarray, start: float) -> float:
         u = nxt
 
 
-def oracle_estimate(z: np.ndarray, system: WhitenedSystem, spec: ModelSpec) -> float:
+def oracle_estimate(z: np.ndarray, spec: ModelSpec) -> float:
     """Oracle estimator using the true sigma^2 in the weights (testing
     baseline; unbiased with variance equal to the inverse information)."""
+    system = whitened_system(spec)
     w = information_weights(system.lam, spec.n, spec.beta)
     return _weighted_sum(system.transform(z) ** 2, w, spec.sigma ** 2)
 
 
-def estimate(z: np.ndarray, spec: ModelSpec,
-             system: WhitenedSystem | None = None) -> EstimateResult:
+def estimate(z: np.ndarray, spec: ModelSpec) -> EstimateResult:
     """Efficient estimator of sigma^2 from one observation vector.
 
     The paper's two-stage value (preliminary estimate on the prefix split,
@@ -168,7 +168,7 @@ def estimate(z: np.ndarray, spec: ModelSpec,
         raise DomainError(f"data length {z.size} does not match spec n = {spec.n}")
     if not np.all(np.isfinite(z)):
         raise DomainError("data contains non-finite values")
-    system = whitened_system(spec) if system is None else system
+    system = whitened_system(spec)
     split = make_split(system.lam, spec.n, spec.beta)
     w = information_weights(system.lam, spec.n, spec.beta)
     return _estimate_from_squares(system.transform(z) ** 2, w, split, system, spec)

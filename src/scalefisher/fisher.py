@@ -49,10 +49,9 @@ def whitened_system(spec: ModelSpec) -> WhitenedSystem:
     return whiten(cov_x, cov_y)
 
 
-def fisher_exact(spec: ModelSpec, system: WhitenedSystem | None = None) -> float:
+def fisher_exact(spec: ModelSpec) -> float:
     """Exact finite-n Fisher information for sigma^2."""
-    system = whitened_system(spec) if system is None else system
-    return information_sum(spec.sigma ** 2, system.lam, spec.n, spec.beta)
+    return information_sum(spec.sigma ** 2, whitened_system(spec).lam, spec.n, spec.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +208,13 @@ def closed_form_constant_C(diamond: float, alpha: float) -> float:
 
 def critical_fisher_log_integral(spec: ModelSpec) -> float:
     """General critical-case form n^(1-4 beta) tau^-4 int_{q_n}^1 ell^2(1/lam) dlam/lam
-    with q_n = n^(-4 beta) ell^2(n^(4 beta)), by quadrature in t = log(1/lam)."""
+    with q_n = n^(-4 beta) ell^2(n^(4 beta)), by quadrature in t = log(1/lam);
+    ell is ``ModelSpec.amplitude_of_log`` at 4 beta log n, then at t."""
     n = float(spec.n)
-    q_n = n ** (-4.0 * spec.beta) * spec.amplitude(n ** (4.0 * spec.beta)) ** 2
+    q_n = n ** (-4.0 * spec.beta) * spec.amplitude_of_log(4.0 * spec.beta * math.log(n)) ** 2
     t_hi = math.log(1.0 / q_n)
     edges = np.linspace(0.0, t_hi, 257)
-    val = panel_integrate(lambda t: spec.amplitude(np.exp(t)) ** 2, edges)
+    val = panel_integrate(lambda t: spec.amplitude_of_log(t) ** 2, edges)
     return n ** (1.0 - 4.0 * spec.beta) * spec.tau ** (-4.0) * val
 
 
@@ -273,14 +273,14 @@ def _closed_form_subcritical(spec: ModelSpec) -> float:
     if spec.alpha == 0.0:
         raise DomainError("subcritical closed form requires alpha != 0 for "
                           "user-specified autocovariances")
-    ell_val = spec.amplitude(n ** (dia * spec.beta))
+    ell_val = spec.amplitude_of_log(dia * spec.beta * math.log(n))
     return base * ell_val ** (dia / 2.0) * closed_form_constant_C(dia, spec.alpha)
 
 
 def _closed_form_critical(spec: ModelSpec) -> float:
     n = float(spec.n)
-    rho = spec.ell.rho if spec.ell.kind == "log_power" else 0.0
-    c_eff = spec.amplitude(math.e)  # c of amplitude = c |log x|^rho
+    rho = spec.ell.rho
+    c_eff = spec.amplitude_of_log(1.0)  # scale c, at log x = 1
     return (n ** (1.0 - 4.0 * spec.beta) * math.log(n) ** (2.0 * rho + 1.0)
             * spec.tau ** (-4.0) * (4.0 * spec.beta) ** (2.0 * rho + 1.0)
             / (2.0 * rho + 1.0) * c_eff ** 2)

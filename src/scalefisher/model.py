@@ -3,7 +3,10 @@ and spectral densities for the observation model z_i = sigma * n^(-beta) * x_i +
 
 The signal process x is stationary (up to a boundary term for the
 integrated-motion preset) with long- or short-range dependence; the noise y
-is a K-th order difference of white noise with level tau.
+is a K-th order difference of white noise with level tau.  A ``ModelSpec``
+has one spectral density, ``spectral_density_x``, for every kind of signal,
+and one slowly varying amplitude, ``amplitude_of_log``, which alone applies
+``x_cov.scale`` to ell.
 """
 
 from __future__ import annotations
@@ -289,11 +292,16 @@ class AutocovarianceSpec:
             raise DomainError(f"integrated_fbm_increment requires H in (0, 1/4), got {self.hurst}")
         if self.kind == "user_sequence" and len(self.values) == 0:
             raise DomainError("user_sequence requires at least gamma_0")
+        if not all(map(math.isfinite, self.values)):
+            raise DomainError(f"autocovariance values must be finite, got {self.values}")
+        if not 0 < self.scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
 class SlowlyVaryingSpec:
-    """Slowly varying amplitude: constant c, or c * |log x|^rho (x > 1)."""
+    """Slowly varying amplitude ell(x) = c (log x)^rho at x > 1: "constant"
+    (rho = 0) or "log_power".  ``ModelSpec.amplitude_of_log`` evaluates it."""
     kind: str
     c: float = 1.0
     rho: float = 0.0
@@ -301,21 +309,19 @@ class SlowlyVaryingSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "log_power"):
             raise DomainError(f"unknown slowly varying kind {self.kind!r}")
-        if self.kind == "constant" and self.c < 0:
-            raise DomainError("constant amplitude must be nonnegative")
-        if self.kind == "log_power":
+        if not (math.isfinite(self.c) and math.isfinite(self.rho)):
+            raise DomainError(f"amplitude c and exponent rho must be finite, got "
+                              f"c = {self.c}, rho = {self.rho}")
+        if self.kind == "constant":
+            if self.c < 0:
+                raise DomainError("constant amplitude must be nonnegative")
+            if self.rho != 0:
+                raise DomainError(f"constant amplitude takes rho = 0, got {self.rho}")
+        else:
             if self.c <= 0:
                 raise DomainError("log_power amplitude must be positive")
             if self.rho <= -0.5:
                 raise DomainError("log_power exponent must be > -1/2")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(x, self.c)
-        else:
-            out = self.c * np.abs(np.log(x)) ** self.rho
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -364,7 +370,8 @@ class ModelSpec:
 
     def gamma(self, k):
         """gamma_k of the (stationary part of the) signal process; a user
-        sequence goes on beyond its values as sign(-alpha) k^(-2 alpha - 1) ell(k)."""
+        sequence goes on beyond its values as sign(-alpha) k^(-2 alpha - 1)
+        ``amplitude_of_log(log k)``."""
         xc = self.x_cov
         if xc.kind != "user_sequence":
             return xc.scale * _preset_gamma(xc, k)
@@ -372,11 +379,11 @@ class ModelSpec:
         vals = np.asarray(xc.values, dtype=float)
         out = np.empty(k_arr.shape, dtype=float)
         inside = k_arr < len(vals)
-        out[inside] = vals[k_arr[inside]]
+        out[inside] = vals[k_arr[inside]] * xc.scale
         if np.any(~inside):
             kk = k_arr[~inside].astype(float)
-            out[~inside] = np.sign(-self.alpha) * kk ** (-2 * self.alpha - 1) * self.ell(kk)
-        out *= xc.scale
+            out[~inside] = (np.sign(-self.alpha) * kk ** (-2 * self.alpha - 1)
+                            * self.amplitude_of_log(np.log(kk)))
         return float(out[0]) if np.ndim(k) == 0 else out
 
     def gamma_array(self, kmax: int) -> np.ndarray:
@@ -411,41 +418,11 @@ class ModelSpec:
             raise DomainError("frequency must lie in (0, pi]")
         return lam
 
-    def spectral_density_x(self, lam):
-        """User-sequence spectral density f = sum_k gamma_k cos(k lam) as a
-        series over blocks of SERIES_BLOCK frequencies: the lags below
-        k0 = max(len(values), 2) explicitly, the rest in closed form from the
-        power law that gamma follows exactly from k0 on.  DomainError for the
-        preset kinds, whose density is ``spectral_density_x_aliased``."""
-        if self.x_cov.kind != "user_sequence":
-            raise DomainError("the series evaluator only applies to user sequences")
-        lam = self._check_lambda(lam)
-        k0 = max(len(self.x_cov.values), 2)
-        g = self.gamma_array(k0 - 1)
-        flat, lags = lam.ravel(), np.arange(1, k0)
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, SERIES_BLOCK):
-            blk = flat[lo:lo + SERIES_BLOCK]
-            out[lo:lo + SERIES_BLOCK] = g[0] + 2.0 * (
-                np.cos(np.outer(blk, lags)) @ g[1:] + self._gamma_tail_cos(blk, k0))
-        return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
-
-    def amplitude(self, x):
-        """Slowly varying amplitude c (log x)^rho at Re x > 1 of the power law
-        gamma_k ~ sign(-alpha) k^(-2 alpha - 1) amplitude(k).  A preset's ell
-        carries ``x_cov.scale``; a user sequence's gets it here."""
-        return self.amplitude_of_log(np.log(x))
-
     def amplitude_of_log(self, s):
-        """amplitude(e^s) for s > 0 and complex s, without forming e^s."""
-        scale = self.x_cov.scale if self.x_cov.kind == "user_sequence" else 1.0
-        rho = self.ell.rho if self.ell.kind == "log_power" else 0.0
-        return scale * self.ell.c * s ** rho
-
-    def _gamma_tail_cos(self, lam, k_start: int):
-        """sum_{k >= k_start} gamma_k cos(k lam) from the asymptote of gamma."""
-        return np.sign(-self.alpha) * cos_tail_sum(2.0 * self.alpha + 1.0, lam, k_start,
-                                                   self.amplitude)
+        """Slowly varying amplitude scale c s^rho = scale ell(e^s) of the power
+        law gamma_k ~ sign(-alpha) k^(-2 alpha - 1) scale ell(k), at s = log x
+        for real x > 1 and at complex s, without forming e^s."""
+        return self.x_cov.scale * self.ell.c * s ** self.ell.rho
 
     def _preset_constants(self) -> tuple[float, int, float]:
         """(amp, m, s) of a preset's density amp sin^(2m)(lam/2) (q^-s + L(q)),
@@ -458,28 +435,45 @@ class ModelSpec:
                * math.gamma(2.0 * H + 1.0) * (2.0 * math.pi) ** -s)
         return amp, m, s
 
-    def spectral_density_x_aliased(self, lam):
-        """Exact preset spectral density via the folded power law, the lattice
-        sum by ``_folded_lattice``.  fgn: 2 sin(pi H) Gamma(2H+1)
-        (1 - cos lam) sum_j |2 pi j + lam|^(-2H-1).  The integrated preset's
-        unit-window average multiplies the continuous spectrum by
-        (sin(w/2)/(w/2))^2: 16 sin(pi H) Gamma(2H+1) sin^4(lam/2)
-        sum_j |2 pi j + lam|^(-2H-3).  DomainError for user sequences.
+    def spectral_density_x(self, lam):
+        """Signal spectral density f = sum_k gamma_k cos(k lam) on (0, pi].
 
-        With (amp, m, s) from ``_preset_constants``, the j = 0 term
-        sin^(2m)(lam/2) q^-s is evaluated as (sin(lam/2) / q)^(2m)
-        q^(2m-s): far below 1e-30 the sine power underflows and q^-s
-        overflows, while the term is finite."""
-        if self.x_cov.kind == "user_sequence":
-            raise DomainError("aliased evaluator only applies to the preset kinds")
+        Presets: the folded power law, the lattice sum by ``_folded_lattice``.
+        fgn: 2 sin(pi H) Gamma(2H+1) (1 - cos lam) sum_j |2 pi j + lam|^(-2H-1).
+        The integrated preset's unit-window average multiplies the continuous
+        spectrum by (sin(w/2)/(w/2))^2: 16 sin(pi H) Gamma(2H+1) sin^4(lam/2)
+        sum_j |2 pi j + lam|^(-2H-3).  With (amp, m, s) from
+        ``_preset_constants``, the j = 0 term sin^(2m)(lam/2) q^-s is
+        evaluated as (sin(lam/2) / q)^(2m) q^(2m-s): far below 1e-30 the sine
+        power underflows and q^-s overflows, while the term is finite.
+
+        User sequences: a series over blocks of SERIES_BLOCK frequencies, the
+        lags below k0 = max(len(values), 2) explicitly, the rest by
+        ``_quad.cos_tail_sum`` from the power law that gamma follows exactly
+        from k0 on."""
         lam = self._check_lambda(lam)
-        amp, m, s = self._preset_constants()
-        q = lam / (2.0 * np.pi)
-        sine = np.sin(lam / 2.0)
-        sin2, ratio2 = sine * sine, (sine / q) ** 2
-        if m == 2:
-            sin2, ratio2 = sin2 * sin2, ratio2 * ratio2
-        return amp * (sin2 * _folded_lattice(s, q) + ratio2 * q ** (2 * m - s))
+        if self.x_cov.kind != "user_sequence":
+            amp, m, s = self._preset_constants()
+            q = lam / (2.0 * np.pi)
+            sine = np.sin(lam / 2.0)
+            sin2, ratio2 = sine * sine, (sine / q) ** 2
+            if m == 2:
+                sin2, ratio2 = sin2 * sin2, ratio2 * ratio2
+            return amp * (sin2 * _folded_lattice(s, q) + ratio2 * q ** (2 * m - s))
+        k0 = max(len(self.x_cov.values), 2)
+        g = self.gamma_array(k0 - 1)
+        flat, lags = lam.ravel(), np.arange(1, k0)
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, SERIES_BLOCK):
+            blk = flat[lo:lo + SERIES_BLOCK]
+            out[lo:lo + SERIES_BLOCK] = g[0] + 2.0 * (
+                np.cos(np.outer(blk, lags)) @ g[1:] + self._gamma_tail_cos(blk, k0))
+        return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+
+    def _gamma_tail_cos(self, lam, k_start: int):
+        """sum_{k >= k_start} gamma_k cos(k lam) from the asymptote of gamma."""
+        return np.sign(-self.alpha) * cos_tail_sum(2.0 * self.alpha + 1.0, lam, k_start,
+                                                   self.amplitude_of_log)
 
     def noise_to_signal(self, lam):
         """log r, r = noise / (pref f): the noise spectrum 4^K tau^2
@@ -524,7 +518,7 @@ class ModelSpec:
             _, b = _series_coefficients(p, partial(_moment, stencil), k0, 2)
             b = np.array(b) * (xc.scale / divisor)
         elif self.ell.kind == "constant":
-            b = np.array([np.sign(-self.alpha) * xc.scale * self.ell.c])
+            b = np.array([np.sign(-self.alpha) * self.amplitude_of_log(1.0)])
         else:
             tail = power_tail_sum(e, k0, lambda s: self.amplitude_of_log(s) ** 2)
             return head + 2.0 * np.sign(self.alpha) ** 2 * tail
@@ -571,8 +565,7 @@ def large_error_spec(n: int, H: float, beta: float, sigma: float = 1.0,
     if H >= 0.75:
         return spec
     scale = 1.0 / math.sqrt(spec.sum_gamma_squared())
-    return replace(spec, x_cov=replace(spec.x_cov, scale=scale),
-                   ell=SlowlyVaryingSpec("constant", scale * H * abs(2 * H - 1)))
+    return replace(spec, x_cov=replace(spec.x_cov, scale=scale))
 
 
 def integrated_fbm_spec(n: int, H: float, sigma: float = 1.0, tau: float = 1.0) -> ModelSpec:

@@ -168,7 +168,7 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
         raise DomainError(f"estimator must be one of {ESTIMATORS}")
     system = whitened_system(spec)
     _signal_chol(spec)
-    info = fisher_exact(spec, system=system)
+    info = fisher_exact(spec)
     w = information_weights(system.lam, spec.n, spec.beta)
     lam_max, lam_min = float(system.lam[0]), float(system.lam[-1])
 

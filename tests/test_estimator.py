@@ -101,10 +101,10 @@ def test_split_insufficient_information():
 def test_oracle_zero_vector_value():
     spec = sf.fbm_wn_spec(64, 0.6, sigma=1.2)
     system = sf.whitened_system(spec)
-    info = sf.fisher_exact(spec, system=system)
+    info = sf.fisher_exact(spec)
     w = system.lam * 64.0 ** (-2 * 0.6)
     expect = -np.sum(w / (spec.sigma ** 2 * w + 1.0) ** 2) / (2.0 * info)
-    got = sf.oracle_estimate(np.zeros(64), system, spec)
+    got = sf.oracle_estimate(np.zeros(64), spec)
     assert got == pytest.approx(float(expect), rel=1e-12)
 
 
@@ -123,11 +123,10 @@ def test_oracle_mean_substitution_identity():
 
 def test_oracle_monte_carlo_moments():
     spec = sf.fbm_wn_spec(512, 0.5)
-    system = sf.whitened_system(spec)
-    info = sf.fisher_exact(spec, system=system)
+    info = sf.fisher_exact(spec)
     reps = 2000
     vals = np.array([
-        sf.oracle_estimate(sf.sample_z(spec, seed=2024, rep_index=r), system, spec)
+        sf.oracle_estimate(sf.sample_z(spec, seed=2024, rep_index=r), spec)
         for r in range(reps)])
     se_mean = math.sqrt(1.0 / (info * reps))
     assert abs(vals.mean() - spec.sigma ** 2) <= 3.0 * se_mean
@@ -148,7 +147,7 @@ def test_estimate_exact_mean_data_recovers_sigma2():
     kd = system.a_band.shape[0] - 1
     a = sum(np.diag(system.a_band[kd - d, d:], d) for d in range(kd + 1))
     z = a.T @ (system.basis @ ztilde)
-    res = sf.estimate(z, spec, system=system)
+    res = sf.estimate(z, spec)
     assert res.preliminary_V == pytest.approx(spec.sigma ** 2, rel=1e-10)
     assert res.sigma2_tilde == pytest.approx(spec.sigma ** 2, rel=1e-10)
     assert res.sigma2_hat == pytest.approx(spec.sigma ** 2, rel=1e-10)

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import gamma as gamma_fn, zeta
 
 import scalefisher as sf
-from scalefisher._quad import cos_tail_sum, gauss_nodes
+from scalefisher._quad import GAUSS_RULE, cos_tail_sum
 from scalefisher.model import (
     LATTICE_TERMS,
     _folded_lattice,
@@ -268,7 +268,7 @@ def test_spectrum_white_noise_flat():
     spec = sf.fbm_wn_spec(100, 0.5)
     for lam in (0.1, 1.0, np.pi):
         assert brute_series(spec, lam, kmax=1024)[0] == pytest.approx(1.0, abs=1e-10)
-        assert spec.spectral_density_x_aliased(lam) == pytest.approx(1.0, rel=1e-12)
+        assert spec.spectral_density_x(lam) == pytest.approx(1.0, rel=1e-12)
     # the noise spectrum 4^K tau^2 sin^(2K)(lam/2) is not flat: 4 tau^2 at pi
     assert noise_symbol(np.pi, spec.K, spec.tau) == pytest.approx(4 * spec.tau ** 2)
 
@@ -278,14 +278,14 @@ def test_spectrum_series_vs_aliased(H):
     spec = sf.fbm_wn_spec(64, H)
     grid = np.geomspace(1e-3, np.pi, 21)
     f_series = brute_series(spec, grid, kmax=1024)
-    f_alias = spec.spectral_density_x_aliased(grid)
+    f_alias = spec.spectral_density_x(grid)
     assert np.allclose(f_series, f_alias, rtol=1e-6)
 
 
 def test_spectrum_crosscheck_single_point():
     spec = sf.fbm_wn_spec(64, 0.7)
     a = brute_series(spec, 1.0, kmax=1024)[0]
-    b = spec.spectral_density_x_aliased(1.0)
+    b = spec.spectral_density_x(1.0)
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -450,28 +450,14 @@ def test_integrated_folded_form_inverts_to_gamma(H):
     # below 1e-10 is below 1e-16 and is left out
     spec = sf.integrated_fbm_spec(64, H)
     edges = np.concatenate([np.geomspace(1e-10, 0.1, 301), np.linspace(0.1, np.pi, 301)[1:]])
-    x, w = gauss_nodes(16)
+    x, w = GAUSS_RULE
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * x[None, :]
-    f = spec.spectral_density_x_aliased(pts)
+    f = spec.spectral_density_x(pts)
     for k in (0, 1, 2, 7):
         gk = float(np.sum(((f * np.cos(k * pts)) @ w) * half)) / np.pi
         assert gk == pytest.approx(sf.gamma_integrated_fbm(H, k), rel=1e-9)
-
-
-def test_aliased_rejects_user_sequence():
-    spec = sf.user_spec(16, beta=0.5, sigma=1.0, tau=1.0, K=1,
-                        gamma_values=[1.0, 0.2], alpha=-0.2,
-                        ell=sf.SlowlyVaryingSpec("constant", 0.3))
-    with pytest.raises(sf.DomainError):
-        spec.spectral_density_x_aliased(1.0)
-
-
-def test_series_rejects_presets():
-    for spec in (sf.fbm_wn_spec(16, 0.3), sf.integrated_fbm_spec(16, 0.1)):
-        with pytest.raises(sf.DomainError, match="user sequences"):
-            spec.spectral_density_x(1.0)
 
 
 def test_spectrum_small_lambda_power_law():
@@ -483,7 +469,7 @@ def test_spectrum_small_lambda_power_law():
     limit = c_alpha * spec.ell.c
     assert brute_series(spec, lam, kmax=1024)[0] * lam ** (-2 * alpha) == pytest.approx(
         limit, rel=1e-6)
-    assert spec.spectral_density_x_aliased(lam) * lam ** (-2 * alpha) == pytest.approx(
+    assert spec.spectral_density_x(lam) * lam ** (-2 * alpha) == pytest.approx(
         limit, rel=1e-6)
 
 
@@ -498,7 +484,7 @@ def test_preset_power_law_far_below_1e30(make):
     alpha = spec.alpha
     c_alpha = 2 * np.sign(-alpha) * gamma_fn(-2 * alpha) * np.cos(np.pi * alpha)
     lam = np.array([1e-300, 1e-200, 1e-120, 1e-90, 1e-80])
-    f = spec.spectral_density_x_aliased(lam)
+    f = spec.spectral_density_x(lam)
     np.testing.assert_allclose(f * lam ** (-2 * alpha), c_alpha * spec.ell.c, rtol=1e-12)
 
 
@@ -507,13 +493,13 @@ def test_parseval(H):
     # (1/pi) int_0^pi f = gamma_0
     spec = sf.fbm_wn_spec(64, H)
     edges = np.geomspace(1e-10, np.pi, 601)
-    x, w = gauss_nodes(16)
+    x, w = GAUSS_RULE
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = spec.spectral_density_x_aliased(pts).reshape(-1, 16)
+    vals = spec.spectral_density_x(pts).reshape(-1, 16)
     total = float(np.sum((vals @ w) * half))
-    total += spec.spectral_density_x_aliased(1e-10) * 1e-10 / (2 * spec.alpha + 1)
+    total += spec.spectral_density_x(1e-10) * 1e-10 / (2 * spec.alpha + 1)
     assert total / np.pi == pytest.approx(spec.gamma(0), rel=1e-4)
 
 
@@ -526,7 +512,7 @@ def test_spectrum_domain_errors():
         with pytest.raises(sf.DomainError):
             user.spectral_density_x(bad)
         with pytest.raises(sf.DomainError):
-            spec.spectral_density_x_aliased(bad)
+            spec.spectral_density_x(bad)
     # a nan among valid frequencies: presets gave a nan density, user
     # sequences a bare ValueError from the tail
     for model in (spec, sf.integrated_fbm_spec(64, 0.1), user):
@@ -544,8 +530,8 @@ def test_tail_sum_of_many_frequencies_equals_single_calls(ell):
     spec = sf.user_spec(16, beta=0.5, sigma=1.0, tau=1.0, K=1,
                         gamma_values=[1.0, 0.2], alpha=-0.2, ell=ell)
     lam = np.geomspace(1e-300, np.pi, 201)
-    batch = cos_tail_sum(0.6, lam, 3, spec.amplitude)
-    single = np.array([cos_tail_sum(0.6, lam[i:i + 1], 3, spec.amplitude)[0]
+    batch = cos_tail_sum(0.6, lam, 3, spec.amplitude_of_log)
+    single = np.array([cos_tail_sum(0.6, lam[i:i + 1], 3, spec.amplitude_of_log)[0]
                        for i in range(lam.size)])
     assert np.all(np.isfinite(batch))
     np.testing.assert_allclose(batch, single, rtol=2e-15, atol=0)
@@ -605,11 +591,21 @@ def test_sum_gamma_squared_brute():
     longer = replace(USER_CONSTANT, x_cov=replace(
         USER_CONSTANT.x_cov, values=tuple(USER_CONSTANT.gamma_array(99))))
     assert longer.sum_gamma_squared() == pytest.approx(9.058153579764844776, rel=1e-14)
-    # scale multiplies every gamma_k, so the sum by scale^2
+    # scale multiplies every gamma_k, so the sum by scale^2, the density by
+    # scale and the closed form by scale^(min(dia, 4) / 2): 3^(dia/2) for the
+    # subcritical spec, 9 for the supercritical one
+    lam = np.geomspace(1e-6, np.pi, 41)
     for spec in (USER_CONSTANT, USER_LOGPOW):
         scaled = replace(spec, x_cov=replace(spec.x_cov, scale=3.0))
         assert scaled.sum_gamma_squared() == pytest.approx(9.0 * spec.sum_gamma_squared(),
                                                            rel=1e-14)
+        np.testing.assert_allclose(scaled.gamma_array(99), 3.0 * spec.gamma_array(99),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(scaled.spectral_density_x(lam),
+                                   3.0 * spec.spectral_density_x(lam), rtol=1e-14)
+        factor = 3.0 ** (min(spec.diamond, 4.0) / 2.0)
+        assert sf.fisher_closed_form(scaled).closed_form == pytest.approx(
+            factor * sf.fisher_closed_form(spec).closed_form, rel=1e-14)
     # alpha = 0: sign(-alpha) = 0 extends gamma by zeros, whatever ell is
     for ell in (sf.SlowlyVaryingSpec("constant", 0.7),
                 sf.SlowlyVaryingSpec("log_power", 0.7, 0.4)):
@@ -620,6 +616,18 @@ def test_sum_gamma_squared_brute():
 def test_large_error_normalization():
     spec = sf.large_error_spec(16, 0.6, 0.05)  # H < 3/4: normalized
     assert spec.sum_gamma_squared() == pytest.approx(1.0, rel=1e-14)
+    # only x_cov carries the scale: ell is the unit-scale spec's, and gamma,
+    # the density and the amplitude all scale alike
+    unit = replace(spec, x_cov=replace(spec.x_cov, scale=1.0))
+    scale = spec.x_cov.scale
+    assert spec.ell == unit.ell
+    np.testing.assert_allclose(spec.gamma_array(99), scale * unit.gamma_array(99),
+                               rtol=1e-14)
+    lam = np.geomspace(1e-6, np.pi, 41)
+    np.testing.assert_allclose(spec.spectral_density_x(lam),
+                               scale * unit.spectral_density_x(lam), rtol=1e-14)
+    assert spec.amplitude_of_log(2.0) == pytest.approx(scale * unit.amplitude_of_log(2.0),
+                                                       rel=1e-14)
 
 
 def test_sum_gamma_squared_divergent():
@@ -671,11 +679,38 @@ def test_fbm_wn_diamond():
 
 
 def test_slowly_varying_spec():
-    const = sf.SlowlyVaryingSpec("constant", 2.5)
-    assert const(10.0) == 2.5
-    lp = sf.SlowlyVaryingSpec("log_power", 2.0, 0.5)
-    assert lp(np.e ** 4) == pytest.approx(2.0 * 2.0)
+    # ell(x) = c (log x)^rho, evaluated at s = log x and times x_cov.scale
+    const = _user((1.0,), -0.2, sf.SlowlyVaryingSpec("constant", 2.5))
+    assert const.amplitude_of_log(math.log(10.0)) == 2.5
+    lp = _user((1.0,), -0.2, sf.SlowlyVaryingSpec("log_power", 2.0, 0.5))
+    assert lp.amplitude_of_log(4.0) == pytest.approx(2.0 * 2.0)
+    scaled = replace(lp, x_cov=replace(lp.x_cov, scale=3.0))
+    assert scaled.amplitude_of_log(4.0) == pytest.approx(3.0 * 2.0 * 2.0)
     with pytest.raises(sf.DomainError):
         sf.SlowlyVaryingSpec("log_power", 1.0, -0.75)
     with pytest.raises(sf.DomainError):
         sf.SlowlyVaryingSpec("nope", 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sf.SlowlyVaryingSpec("constant", math.inf),
+    lambda: sf.SlowlyVaryingSpec("constant", math.nan),
+    lambda: sf.SlowlyVaryingSpec("log_power", math.inf, 0.5),
+    lambda: sf.SlowlyVaryingSpec("log_power", 0.5, math.nan),
+    lambda: sf.SlowlyVaryingSpec("log_power", 0.5, math.inf),
+    lambda: sf.SlowlyVaryingSpec("constant", 0.5, 0.7),
+    lambda: sf.AutocovarianceSpec("fgn", 0.3, scale=math.nan),
+    lambda: sf.AutocovarianceSpec("fgn", 0.3, scale=math.inf),
+    lambda: sf.AutocovarianceSpec("fgn", 0.3, scale=-1.0),
+    lambda: sf.AutocovarianceSpec("fgn", 0.3, scale=0.0),
+    lambda: sf.AutocovarianceSpec("user_sequence", values=(1.0, math.nan)),
+    lambda: sf.AutocovarianceSpec("user_sequence", values=(math.inf, 0.5)),
+], ids=["const-c-inf", "const-c-nan", "logpow-c-inf", "logpow-rho-nan", "logpow-rho-inf",
+        "const-rho-nonzero", "scale-nan", "scale-inf", "scale-negative", "scale-zero",
+        "values-nan", "values-inf"])
+def test_spec_fields_reject_non_finite(make):
+    # a non-finite field would come out as an inf or nan Fisher value, a bare
+    # ValueError or a numerical failure (QuadratureError, LinAlgError); a
+    # constant ell has no rho to take
+    with pytest.raises(sf.DomainError):
+        make()

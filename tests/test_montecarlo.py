@@ -131,9 +131,8 @@ def test_run_study_worker_count_invariance(monkeypatch):
 def test_run_study_replicates_match_standalone_sampler():
     spec = sf.fbm_wn_spec(512, 0.5)
     study = sf.run_study(spec, reps=5, seed=99)
-    system = sf.whitened_system(spec)
     z2 = sf.sample_z(spec, 99, 2)
-    standalone = sf.estimate(z2, spec, system=system)
+    standalone = sf.estimate(z2, spec)
     assert study.estimates[2].sigma2_hat == standalone.sigma2_hat
 
 
@@ -160,19 +159,19 @@ def test_staged_study_equals_one_replicate_calls(make_spec, workers):
     draws = [sf.sample_z(spec, seed, r) for r in range(reps)]
     oracle = sf.run_study(spec, reps, seed, estimator="oracle", workers=workers)
     assert [e.sigma2_hat for e in oracle.estimates] == \
-        [sf.oracle_estimate(z, system, spec) for z in draws]
+        [sf.oracle_estimate(z, spec) for z in draws]
     try:
         sf.make_split(system.lam, spec.n, spec.beta)
     except sf.InsufficientInformation:
         # too little information to split: both paths refuse alike
         with pytest.raises(sf.InsufficientInformation):
-            sf.estimate(draws[0], spec, system=system)
+            sf.estimate(draws[0], spec)
         with pytest.raises(sf.InsufficientInformation):
             sf.run_study(spec, reps, seed, workers=workers)
         return
     study = sf.run_study(spec, reps, seed, workers=workers)
     assert [e.to_dict() for e in study.estimates] == \
-        [sf.estimate(z, spec, system=system).to_dict() for z in draws]
+        [sf.estimate(z, spec).to_dict() for z in draws]
 
 
 def test_normalized_se_definition():
