@@ -19,8 +19,8 @@ REGIME_SUB = "subcritical"
 REGIME_CRITICAL = "critical"
 REGIME_SUPER = "supercritical"
 
-INTEGRAL_RTOL = 1e-6    # relative agreement of two panel doublings
-MAX_PANELS = 2048       # panels per side of the crossover before giving up
+INTEGRAL_RTOL = 1e-6    # relative agreement of the panel rule and its halving
+PANEL_LOG_WIDTH = 1.0   # widest log(lam) span of one spectral-integral panel
 CROSSOVER_DECADES = 10  # decades per call when the crossover lies below 1e-30
 # lowest frequency the spectral route evaluates: the flat piece of the
 # integral starts no lower, and the crossover search stops here.  The
@@ -68,15 +68,6 @@ def _ratio_sq(spec: ModelSpec, lam):
         return 1.0 / (1.0 + np.exp(spec.noise_to_signal(lam))) ** 2
 
 
-def _panel_sum(ratio_sq, anchor: float, lam_lo: float, m: int) -> float:
-    """int_lam_lo^pi ratio_sq: m log-spaced Gauss panels on each side of the
-    anchor (one side when it is pi)."""
-    edges = [np.geomspace(lam_lo, anchor, m + 1)]
-    if anchor < np.pi:
-        edges.append(np.geomspace(anchor, np.pi, m + 1)[1:])
-    return panel_integrate(ratio_sq, np.concatenate(edges))
-
-
 def _crossover_decades(spec: ModelSpec) -> float | None:
     """Crossover below 1e-30, for a spec whose noise dominates at 1e-30: the
     geometric mean 10^(1/2-k) of the first decade (10^-k, 10^(1-k)) down
@@ -112,8 +103,8 @@ def spectral_crossover(spec: ModelSpec) -> float | None:
     the geometric mean of its bracket, taken as a product of square roots,
     since lo * hi underflows below about 1e-154.  If the noise dominates on
     all of it, ``_crossover_decades`` goes on down and gives the middle of
-    a decade.  The crossover only places ``fisher_integral``'s panels, so
-    it is not narrowed further."""
+    a decade.  The crossover only sets the lower end of
+    ``fisher_integral``'s panels, so it is not narrowed further."""
     grid = np.geomspace(1e-30, np.pi, 601)
     sign = np.sign(spec.noise_to_signal(grid))
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -130,38 +121,33 @@ def fisher_integral(spec: ModelSpec) -> float:
     (n / 2 pi sigma^4) * int_0^pi (1 + noise / (sigma^2 n^(-2 beta) f))^-2,
     whose integrand is at most 1 at every n.
 
-    Adaptive log-spaced panels anchored at the signal/noise crossover, where
-    the integrand drops off its plateau; ``spectral_crossover`` places the
-    anchor within one grid step of it (one decade below 1e-30), which only
-    moves the panel edges.  Panel counts are doubled, up to MAX_PANELS,
-    until two refinements agree to INTEGRAL_RTOL relative.  The flat piece
-    below anchor * 1e-9 (no lower than LAM_FLOOR) is evaluated once and
-    added to each.  DomainError at sigma = 0, where the scaling
-    n / (2 pi sigma^4) is undefined.  The scaling divides by sigma^2 twice,
-    since sigma^4 underflows below sigma = 1e-81 while the result is still
-    finite; OverflowError if the result is beyond the float range.
+    Gauss panels of equal width in log lam, at most PANEL_LOG_WIDTH, over
+    [lam_lo, pi] with lam_lo = anchor * 1e-9 (no lower than LAM_FLOOR), where
+    the anchor is ``spectral_crossover``'s value, or pi if it is None: the
+    integrand drops off its plateau at the crossover, and is flat below
+    lam_lo, so that piece is one evaluation.  The panel sum is checked once
+    against the sum on panels of half the width; QuadratureError if the two
+    differ by more than INTEGRAL_RTOL relative, else the finer one is used.
+    DomainError at sigma = 0, where the scaling n / (2 pi sigma^4) is
+    undefined.  The scaling divides by sigma^2 twice, since sigma^4
+    underflows below sigma = 1e-81 while the result is still finite;
+    OverflowError if the result is beyond the float range.
     """
     if spec.sigma == 0:
         raise DomainError("the spectral integral needs sigma > 0")
     ratio_sq = partial(_ratio_sq, spec)
     anchor = spectral_crossover(spec)
-    anchor = np.pi if anchor is None else anchor
-    lam_lo = max(anchor * 1e-9, LAM_FLOOR)
+    lam_lo = max((np.pi if anchor is None else anchor) * 1e-9, LAM_FLOOR)
     flat = float(ratio_sq(np.array([lam_lo]))[0]) * lam_lo
-    prev = _panel_sum(ratio_sq, anchor, lam_lo, 64) + flat
-    m = 128
-    while m <= MAX_PANELS:
-        cur = _panel_sum(ratio_sq, anchor, lam_lo, m) + flat
-        if abs(cur - prev) <= INTEGRAL_RTOL * max(abs(cur), 1e-300):
-            break
-        prev = cur
-        m *= 2
-    else:
+    m = math.ceil(math.log(np.pi / lam_lo) / PANEL_LOG_WIDTH)
+    coarse = panel_integrate(ratio_sq, np.geomspace(lam_lo, np.pi, m + 1)) + flat
+    fine = panel_integrate(ratio_sq, np.geomspace(lam_lo, np.pi, 2 * m + 1)) + flat
+    if abs(fine - coarse) > INTEGRAL_RTOL * max(abs(fine), 1e-300):
         raise QuadratureError(
             "Fisher spectral integral did not converge",
-            info={"last": prev, "previous_panels": m // 2, "rtol": INTEGRAL_RTOL,
+            info={"coarse": coarse, "fine": fine, "panels": m, "rtol": INTEGRAL_RTOL,
                   "crossover": anchor, "n": spec.n})
-    value = cur * (float(spec.n) / (2.0 * math.pi * spec.sigma ** 2)) / spec.sigma ** 2
+    value = fine * (float(spec.n) / (2.0 * math.pi * spec.sigma ** 2)) / spec.sigma ** 2
     if not math.isfinite(value):
         raise OverflowError(f"the Fisher spectral integral at sigma = {spec.sigma:g} "
                             "exceeds the float range")
@@ -204,18 +190,6 @@ def closed_form_constant_C(diamond: float, alpha: float) -> float:
     c_alpha = 2.0 * math.copysign(1.0, -alpha) * math.gamma(-2.0 * alpha) \
         * math.cos(math.pi * alpha)
     return _phase_prefactor(diamond) * c_alpha ** (diamond / 2.0)
-
-
-def critical_fisher_log_integral(spec: ModelSpec) -> float:
-    """General critical-case form n^(1-4 beta) tau^-4 int_{q_n}^1 ell^2(1/lam) dlam/lam
-    with q_n = n^(-4 beta) ell^2(n^(4 beta)), by quadrature in t = log(1/lam);
-    ell is ``ModelSpec.amplitude_of_log`` at 4 beta log n, then at t."""
-    n = float(spec.n)
-    q_n = n ** (-4.0 * spec.beta) * spec.amplitude_of_log(4.0 * spec.beta * math.log(n)) ** 2
-    t_hi = math.log(1.0 / q_n)
-    edges = np.linspace(0.0, t_hi, 257)
-    val = panel_integrate(lambda t: spec.amplitude_of_log(t) ** 2, edges)
-    return n ** (1.0 - 4.0 * spec.beta) * spec.tau ** (-4.0) * val
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scalefisher as sf
 from scalefisher._quad import panel_integrate
 from scalefisher.fisher import (
     _phase_prefactor,
-    critical_fisher_log_integral,
+    _ratio_sq,
     information_sum,
     spectral_crossover,
 )
@@ -186,8 +187,8 @@ def test_crossover_search_evaluates_spectrum_sparingly(monkeypatch):
 
 
 def test_integral_evaluates_spectrum_sparingly(monkeypatch):
-    # the crossover grid, the flat piece below anchor * 1e-9, then two
-    # refinements
+    # the crossover grid, the flat piece below anchor * 1e-9, then the panel
+    # sum and its one halving check
     calls = []
     orig = sf.ModelSpec.noise_to_signal
 
@@ -208,13 +209,52 @@ def test_integral_evaluates_spectrum_sparingly(monkeypatch):
                  sf.SlowlyVaryingSpec("constant", 0.3)),
 ], ids=["fbm-wn", "integrated-fbm", "user"])
 def test_integral_does_not_depend_on_anchor_within_grid_bracket(spec, monkeypatch):
-    # the crossover only places the panels: anchoring them at either end of
-    # the grid bracket instead of its geometric mean moves no digit that counts
+    # the crossover only sets the panels' lower end anchor * 1e-9: anchoring
+    # at either end of the grid bracket instead of its geometric mean moves
+    # no digit that counts
     lam_c = spectral_crossover(spec)
     value = sf.fisher_integral(spec)
     for end in (lam_c / HALF_GRID_STEP, lam_c * HALF_GRID_STEP):
         monkeypatch.setattr(sf.fisher, "spectral_crossover", lambda s, end=end: end)
         assert sf.fisher_integral(spec) == pytest.approx(value, rel=1e-13)
+
+
+def reference_integral(spec):
+    """fisher_integral on the same [lam_lo, pi] and flat piece below it, with
+    the panel sum on log panels 1/8 wide: 8 times narrower than the rule's."""
+    ratio_sq = partial(_ratio_sq, spec)
+    anchor = spectral_crossover(spec) or math.pi
+    lam_lo = max(anchor * 1e-9, sf.fisher.LAM_FLOOR)
+    m = 8 * math.ceil(math.log(math.pi / lam_lo))
+    total = panel_integrate(ratio_sq, np.geomspace(lam_lo, math.pi, m + 1))
+    total += ratio_sq(np.array([lam_lo]))[0] * lam_lo
+    return total * spec.n / (2 * math.pi * spec.sigma ** 4)
+
+
+@pytest.mark.parametrize("spec", [
+    *(sf.fbm_wn_spec(10 ** e, H) for H in (0.1, 0.5, 0.9) for e in (3, 8, 200)),
+    *(sf.integrated_fbm_spec(10 ** e, 0.2) for e in (8, 300)),
+    # the K = 0 integrand's mass sits near lam ~ 1, far above the crossover:
+    # panels that widen away from the crossover miss it
+    *(sf.large_error_spec(10 ** 40, H, beta)
+      for H, beta in ((0.9, 0.3), (0.75, 0.1), (0.7, 0.1), (0.6, 0.05))),
+    sf.user_spec(10 ** 6, 0.2, 1.0, 1.0, 1, [2.0, 1.0, 0.7], -0.2,
+                 sf.SlowlyVaryingSpec("log_power", 0.5, 0.5)),
+], ids=lambda spec: (f"{spec.preset}-H={spec.x_cov.hurst}-beta={spec.beta}"
+                     f"-n={float(spec.n):.0e}"))
+def test_integral_matches_finer_panels(spec):
+    assert sf.fisher_integral(spec) == pytest.approx(reference_integral(spec), rel=1e-13)
+
+
+def test_integral_raises_when_halving_check_fails(monkeypatch):
+    # one 50-wide panel against two: they disagree by far more than INTEGRAL_RTOL
+    monkeypatch.setattr(sf.fisher, "PANEL_LOG_WIDTH", 50.0)
+    with pytest.raises(sf.QuadratureError, match="did not converge") as err:
+        sf.fisher_integral(sf.fbm_wn_spec(10 ** 6, 0.3))
+    info = err.value.info
+    assert set(info) == {"coarse", "fine", "panels", "rtol", "crossover", "n"}
+    assert info["panels"] == 1
+    assert abs(info["fine"] - info["coarse"]) > info["rtol"] * abs(info["fine"])
 
 
 @pytest.mark.parametrize("e, crossover_below", [(100, 1e-60), (150, 1e-90), (200, 1e-120),
@@ -430,23 +470,27 @@ def test_critical_log_power_matches_integral_form():
         return sf.user_spec(n, beta=beta, sigma=1.0, tau=1.0, K=0,
                             gamma_values=[1.0], alpha=-0.25, ell=ell)
 
-    # constant unit amplitude: the general integral form is exactly the
-    # log-factor formula, since log(1/q_n) = 4 beta log n with ell = 1
+    def general_form(spec):
+        # n^(1-4 beta) tau^-4 int_{q_n}^1 ell^2(1/lam) dlam/lam with
+        # q_n = n^(-4 beta) ell^2(n^(4 beta)): for ell(x) = c (log x)^rho the
+        # integral is c^2 L^(2 rho + 1) / (2 rho + 1), L = log(1/q_n)
+        n = float(spec.n)
+        s = 4 * beta * math.log(n)
+        big_l = s - 2 * math.log(spec.amplitude_of_log(s))
+        p = 2 * spec.ell.rho + 1
+        return (n ** (1 - 4 * beta) * spec.tau ** -4 * spec.amplitude_of_log(1.0) ** 2
+                * big_l ** p / p)
+
+    # constant unit amplitude: the general form is exactly the log-factor
+    # formula, since log(1/q_n) = 4 beta log n with ell = 1
     const = make(10 ** 6, sf.SlowlyVaryingSpec("constant", 1.0))
-    assert critical_fisher_log_integral(const) == pytest.approx(
+    assert general_form(const) == pytest.approx(
         sf.fisher_closed_form(const).closed_form, rel=1e-10)
 
-    # log-power: quadrature must reproduce the antiderivative of t^(2 rho) ...
+    # log-power: the log-factor formula is the general form's slowly
+    # approached limit
     lp = sf.SlowlyVaryingSpec("log_power", 1.0, rho)
-    spec = make(10 ** 12, lp)
-    n = float(spec.n)
-    big_l = 4 * beta * math.log(n) - 2 * math.log(spec.amplitude_of_log(4 * beta * math.log(n)))
-    analytic = n ** (1 - 4 * beta) * big_l ** (2 * rho + 1) / (2 * rho + 1)
-    assert critical_fisher_log_integral(spec) == pytest.approx(analytic, rel=1e-8)
-
-    # ... and the log-factor formula is its slowly-approached limit
-    ratios = [critical_fisher_log_integral(make(n, lp))
-              / sf.fisher_closed_form(make(n, lp)).closed_form
+    ratios = [general_form(make(n, lp)) / sf.fisher_closed_form(make(n, lp)).closed_form
               for n in (10 ** 6, 10 ** 12, 10 ** 24)]
     assert ratios[0] < ratios[1] < ratios[2] < 1.0
 

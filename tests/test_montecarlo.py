@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import scalefisher as sf
+from scalefisher.estimator import _estimate_from_squares
+from scalefisher.fisher import information_weights
 
 
 def empirical_cov(spec, reps, seed):
@@ -172,6 +174,39 @@ def test_staged_study_equals_one_replicate_calls(make_spec, workers):
     study = sf.run_study(spec, reps, seed, workers=workers)
     assert [e.to_dict() for e in study.estimates] == \
         [sf.estimate(z, spec).to_dict() for z in draws]
+
+
+def exact_law_study(spec, reps, seed):
+    """I * MSE of ``estimate``, and its SE, under the exact law of the squared
+    whitened data: independent (sigma^2 w_i + 1) chi^2_1 coordinates with
+    w = information_weights(lam), drawn from lam alone without sampling z."""
+    system = sf.whitened_system(spec)
+    w = information_weights(system.lam, spec.n, spec.beta)
+    split = sf.make_split(system.lam, spec.n, spec.beta)
+    u = spec.sigma ** 2
+    rng = np.random.default_rng(seed)
+    err2 = np.empty(reps)
+    for r in range(reps):
+        z2 = (u * w + 1.0) * rng.standard_normal(spec.n) ** 2
+        err2[r] = (_estimate_from_squares(z2, w, split, system, spec).sigma2_hat - u) ** 2
+    info = sf.fisher_exact(spec)
+    return info * float(np.mean(err2)), info * float(np.std(err2, ddof=1)) / np.sqrt(reps)
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_study_agrees_with_exact_law(n, capsys):
+    # whitening is exact, so the sampler and the transform add nothing to the
+    # law of the estimate: criterion 7's study (500 reps, seed 777) must agree
+    # with the exact law within the combined standard error
+    spec = sf.fbm_wn_spec(n, 0.5)
+    study = sf.run_study(spec, reps=500, seed=777)
+    law, law_se = exact_law_study(spec, reps=5000, seed=1)
+    z = (study.normalized - law) / np.hypot(study.normalized_se, law_se)
+    with capsys.disabled():
+        print(f"\nfbm-wn H=0.5 n={n}: run_study I*MSE {study.normalized:.3f} "
+              f"± {study.normalized_se:.3f}, exact law {law:.3f} ± {law_se:.3f}, "
+              f"z = {z:+.2f}")
+    assert abs(z) <= 4
 
 
 def test_normalized_se_definition():
