@@ -17,7 +17,7 @@ import numpy as np
 
 from ._quad import QuadratureError
 from .estimator import InsufficientInformation, estimate
-from .fisher import fisher_report, rate_scan
+from .fisher import METHODS, fisher_report, rate_scan
 from .linalg import PANEL, NotPositiveDefiniteError
 from .model import (
     CONVENTIONS,
@@ -105,6 +105,12 @@ _PRESET_FLAGS = {
     "user": ("beta", "K", "alpha", "gamma", "ell", "convention"),
 }
 _MODEL_FLAGS = ("H", "beta", "K", "alpha", "gamma", "ell", "convention")
+# the named presets' constructors, called as (n, *preset flags, sigma, tau)
+_NAMED_PRESETS = {
+    "fbm-wn": fbm_wn_spec,
+    "large-error": large_error_spec,
+    "integrated-fbm": integrated_fbm_spec,
+}
 
 
 def _parse_ell(text: str) -> SlowlyVaryingSpec:
@@ -118,22 +124,17 @@ def _parse_ell(text: str) -> SlowlyVaryingSpec:
 
 
 def build_spec(args) -> ModelSpec:
+    flags = _PRESET_FLAGS[args.preset]
     unread = [f"--{k}" for k in _MODEL_FLAGS
-              if getattr(args, k) is not None and k not in _PRESET_FLAGS[args.preset]]
+              if getattr(args, k) is not None and k not in flags]
     if unread:
         raise DomainError(f"{args.preset} preset does not read {', '.join(unread)}")
-    if args.preset == "fbm-wn":
-        if args.H is None:
-            raise DomainError("fbm-wn preset requires --H")
-        return fbm_wn_spec(args.n, args.H, args.sigma, args.tau)
-    if args.preset == "large-error":
-        if args.H is None or args.beta is None:
-            raise DomainError("large-error preset requires --H and --beta")
-        return large_error_spec(args.n, args.H, args.beta, args.sigma, args.tau)
-    if args.preset == "integrated-fbm":
-        if args.H is None:
-            raise DomainError("integrated-fbm preset requires --H")
-        return integrated_fbm_spec(args.n, args.H, args.sigma, args.tau)
+    if args.preset in _NAMED_PRESETS:
+        values = [getattr(args, k) for k in flags]
+        if None in values:
+            raise DomainError(f"{args.preset} preset requires "
+                              + " and ".join(f"--{k}" for k in flags))
+        return _NAMED_PRESETS[args.preset](args.n, *values, args.sigma, args.tau)
     required = {"--beta": args.beta, "--K": args.K, "--alpha": args.alpha,
                 "--gamma": args.gamma}
     missing = [k for k, v in required.items() if v is None]
@@ -210,26 +211,17 @@ def _read_data(path: str, n: int) -> np.ndarray:
     return np.array(values)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("SCALEFISHER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_fisher(args) -> int:
     spec = build_spec(args)
-    methods = ("exact", "integral", "closed-form") if args.method == "all" \
-        else (args.method,)
+    methods = METHODS if args.method == "all" else (args.method,)
     report = fisher_report(spec, methods=methods)
     payload = report.to_dict()
     if args.method == "all":
-        vals = {k: payload[k] for k in ("exact", "integral", "closed_form")}
+        vals = {k: payload[k] for k in (m.replace("-", "_") for m in METHODS)}
         diffs = {}
         for a in vals:
             for b in vals:
@@ -269,8 +261,7 @@ def cmd_mc_study(args) -> int:
     spec = build_spec(args)
     if args.reps < 2:
         raise DomainError("mc-study requires --reps >= 2")
-    study = run_study(spec, args.reps, args.seed, estimator=args.estimator,
-                      workers=_workers_from_env())
+    study = run_study(spec, args.reps, args.seed, estimator=args.estimator)
     if args.per_rep:
         rows = ["rep,V,sigma2_tilde,sigma2_hat"]
         rows.extend(
@@ -309,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fisher", help="compute Fisher information")
     _add_model_args(p)
-    p.add_argument("--method", choices=("exact", "integral", "closed-form", "all"),
-                   default="all")
+    p.add_argument("--method", choices=(*METHODS, "all"), default="all")
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_fisher)
 

@@ -11,7 +11,7 @@ point of the same plug-in weighted sum."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,16 +86,8 @@ class EstimateResult:
     lam_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "preliminary_V": self.preliminary_V,
-            "sigma2_tilde": self.sigma2_tilde,
-            "sigma2_two_stage": self.sigma2_two_stage,
-            "sigma2_hat": self.sigma2_hat,
-            "plugin_fisher": self.plugin_fisher,
-            "split": dict(self.split),
-            "lam_max": self.lam_max,
-            "lam_min": self.lam_min,
-        }
+        """The fields by name, in declaration order."""
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

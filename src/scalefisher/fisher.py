@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -18,6 +18,8 @@ from .model import DomainError, ModelSpec, with_n
 REGIME_SUB = "subcritical"
 REGIME_CRITICAL = "critical"
 REGIME_SUPER = "supercritical"
+
+METHODS = ("exact", "integral", "closed-form")  # the routes fisher_report runs
 
 INTEGRAL_RTOL = 1e-6    # relative agreement of the panel rule and its halving
 PANEL_LOG_WIDTH = 1.0   # widest log(lam) span of one spectral-integral panel
@@ -206,17 +208,8 @@ class FisherReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exact": self.exact,
-            "integral": self.integral,
-            "closed_form": self.closed_form,
-            "diamond": self.diamond,
-            "regime": self.regime,
-            "rate_exponent": self.rate_exponent,
-            "log_factor": self.log_factor,
-            "warnings": list(self.warnings),
-        }
+        """The fields by name, in declaration order; ``warnings`` as a list."""
+        return {**asdict(self), "warnings": list(self.warnings)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -295,10 +288,13 @@ def fisher_closed_form(spec: ModelSpec) -> FisherReport:
         log_factor=log_factor, warnings=tuple(warnings))
 
 
-def fisher_report(spec: ModelSpec,
-                  methods=("exact", "integral", "closed-form")) -> FisherReport:
-    """Combined report; ``methods`` selects whether the exact and integral
-    routes run.  The closed form always runs: it carries the regime."""
+def fisher_report(spec: ModelSpec, methods=METHODS) -> FisherReport:
+    """Combined report; ``methods``, a subset of ``METHODS``, selects whether
+    the exact and integral routes run.  The closed form always runs: it
+    carries the regime.  DomainError names any entry not in ``METHODS``."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise DomainError(f"unknown Fisher method(s) {unknown}; choose from {METHODS}")
     return replace(
         fisher_closed_form(spec),
         exact=fisher_exact(spec) if "exact" in methods else None,
@@ -320,15 +316,6 @@ class RateScan:
 
     def rows(self):
         return list(zip(self.n_grid, self.integral, self.closed_form))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "integral": list(self.integral),
-            "closed_form": list(self.closed_form),
-            "slope_integral": self.slope_integral,
-            "slope_closed_form": self.slope_closed_form,
-        }
 
 
 def _loglog_slope(ns, vals) -> float:

@@ -161,11 +161,15 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
     panel calls with one live column, and a column's bits do not depend on
     its position or neighbours, so each estimate is bit-identical to theirs
     for any panel filling and worker count.  The split and the information
-    weights are built once per study."""
+    weights are built once per study.  DomainError, before any work, unless
+    ``reps >= 2``, ``estimator`` is one of ``ESTIMATORS`` and ``workers`` is
+    an integer >= 1."""
     if reps < 2:
         raise DomainError("need at least two replicates")
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     system = whitened_system(spec)
     _signal_chol(spec)
     info = fisher_exact(spec)

@@ -3,6 +3,7 @@ determinism, JSON round-trips."""
 
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -338,17 +339,32 @@ def test_unknown_subcommand_exit(capsys):
     assert main(["definitely-not-a-command"]) == 2
 
 
-def test_thread_env_does_not_change_results(capsys, tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("SCALEFISHER_THREADS", threads)
-        out = tmp_path / f"study-{threads}.json"
-        code, _, _ = run_cli(capsys, "mc-study", "--preset", "fbm-wn", "--H", "0.5",
-                             "--n", "512", "--seed", "21", "--reps", "6",
-                             "--output", str(out))
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_json_outputs_are_the_library_results(capsys, tmp_path):
+    # fisher and estimate print the result's to_json(), keyed by the result
+    # type's field names in order; mc-study writes the study's to_json()
+    spec_args = ("--preset", "fbm-wn", "--H", "0.5", "--n", "512")
+    spec = sf.fbm_wn_spec(512, 0.5)
+    code, out, _ = run_cli(capsys, "fisher", *spec_args, "--method", "closed-form")
+    assert code == 0
+    report = sf.fisher_report(spec, ("closed-form",))
+    assert out == report.to_json() + "\n"
+    assert list(json.loads(out)) == [f.name for f in fields(sf.FisherReport)]
+    # warnings is a list in the dict too, since [] != ()
+    assert json.loads(out) == report.to_dict()
+
+    z = sf.sample_z(spec, 5)
+    data = tmp_path / "z.txt"
+    data.write_text("".join(f"{v!r}\n" for v in z.tolist()))
+    code, out, _ = run_cli(capsys, "estimate", *spec_args, "--input", str(data))
+    assert code == 0
+    assert out == sf.estimate(z, spec).to_json() + "\n"
+    assert list(json.loads(out)) == [f.name for f in fields(sf.EstimateResult)]
+
+    study = tmp_path / "study.json"
+    code, out, _ = run_cli(capsys, "mc-study", *spec_args, "--seed", "21",
+                           "--reps", "6", "--output", str(study))
+    assert code == 0 and not out
+    assert study.read_text() == sf.run_study(spec, 6, 21).to_json()
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from scipy.special import gamma as gamma_fn
 import scalefisher as sf
 from scalefisher._quad import panel_integrate
 from scalefisher.fisher import (
+    METHODS,
     _phase_prefactor,
     _ratio_sq,
     information_sum,
@@ -556,6 +557,15 @@ def test_report_serialization_roundtrip():
     assert set(parsed) >= {"n", "exact", "integral", "closed_form", "diamond",
                            "regime", "rate_exponent"}
     assert parsed["integral"] is None
+
+
+def test_report_rejects_unknown_methods():
+    # a misspelt name ran neither the exact nor the integral route; "all" is
+    # the CLI's word for METHODS, not a method
+    with pytest.raises(sf.DomainError, match=r"\['integal', 'all'\]"):
+        sf.fisher_report(flat_spec(64), methods=("exact", "integal", "all"))
+    report = sf.fisher_report(flat_spec(64), methods=METHODS)
+    assert report.exact is not None and report.integral is not None
 
 
 # ---------------------------------------------------------------------------

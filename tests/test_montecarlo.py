@@ -242,6 +242,17 @@ def test_run_study_validation():
         sf.run_study(spec, reps=10, seed=0, estimator="wrong")
 
 
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
+def test_run_study_rejects_bad_worker_count(monkeypatch, workers):
+    # 0 ended in a ZeroDivisionError from the panel split and -2 ran
+    # serially; the check comes before the whitening
+    monkeypatch.setattr(sf.montecarlo, "whitened_system",
+                        lambda spec: pytest.fail("whitened before the check"))
+    with pytest.raises(sf.DomainError, match="workers"):
+        sf.run_study(sf.fbm_wn_spec(64, 0.5), reps=4, seed=0, estimator="oracle",
+                     workers=workers)
+
+
 def test_study_json():
     import json
     spec = sf.fbm_wn_spec(512, 0.5)
