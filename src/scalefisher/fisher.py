@@ -45,7 +45,10 @@ def information_sum(u: float, lam: np.ndarray, n: int, beta: float) -> float:
 @lru_cache(maxsize=1)
 def whitened_system(spec: ModelSpec) -> WhitenedSystem:
     """Whitening of (Cov(x), Cov(y)) for a model spec.  Only the last spec's
-    two n x n arrays are cached: callers work through one spec at a time."""
+    two n x n arrays are cached: callers work through one spec at a time.
+    ``whiten`` takes the noise factor in closed form for K = 0, and for
+    K = 1 under D D^t, at tau = 1; every other spec factorises the noise
+    covariance by dense Cholesky."""
     cov_x = spec.cov_x()
     cov_y = diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention)
     return whiten(cov_x, cov_y)

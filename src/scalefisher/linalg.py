@@ -25,6 +25,9 @@ NEG_EIG_TOL = 1e-8
 # alone and a vector among others agree; at width 16 they do not on the
 # SkylakeX kernels (tests/test_linalg.py::test_panel_columns_are_position_independent)
 PANEL = 8
+# rows per block of whitening's in-place passes (the symmetrisation and the
+# move of the reflectors), which bounds their temporaries
+TILE = 64
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -51,7 +54,9 @@ def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.n
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     if K == 0:
-        return tau ** 2 * np.eye(n)
+        out = np.eye(n)
+        out *= tau ** 2
+        return out
     block = 4 * K + 2
     if n <= block:
         return tau ** 2 * np.linalg.matrix_power(_diff_base(n, convention), K)
@@ -64,7 +69,8 @@ def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.n
     corner = np.linalg.matrix_power(_diff_base(block, convention), K)
     out[:K, :K] = corner[:K, :K]
     out[-K:, -K:] = corner[-K:, -K:]
-    return tau ** 2 * out
+    out *= tau ** 2     # in place: one n x n array
+    return out
 
 
 def dct_nodes(n: int) -> np.ndarray:
@@ -145,6 +151,8 @@ class WhitenedSystem:
     The noise covariance is banded, so kd = min(K, n - 1) and A's entries
     beyond the band are exact zeros; every solve with A, in ``whiten`` and
     in the transform, is a banded one, and the dense A is never rebuilt.
+    For Cov(y) = I or D D^t, A is I or D^t in closed form; otherwise it is
+    the dense Cholesky factor's band.
 
     ``lam`` is computed when the system is built.  D is ``basis``: the
     tridiagonal form that gave ``lam`` is kept until ``basis`` is first read,
@@ -195,7 +203,7 @@ class WhitenedSystem:
         array is read once per panel.  gemm reads ``basis.T``, the Fortran
         view of the C-ordered basis, so no n x n copy is made.
 
-        A comes from a Cholesky factorisation, so its diagonal is positive
+        A is a closed-form or Cholesky factor, so its diagonal is positive
         and the solve cannot fail; non-finite data give non-finite output."""
         from scipy.linalg.blas import dgemm
         from scipy.linalg.lapack import dtbtrs
@@ -203,19 +211,57 @@ class WhitenedSystem:
         return dgemm(1.0, self.basis.T, w)
 
 
-def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
-    """Whitening transform for a PSD signal covariance against a positive
-    definite noise covariance.  The arrays are read-only, because the
-    system is shared through the ``whitened_system`` cache.
+def _unit_difference_width(cov_y: np.ndarray) -> int | None:
+    """0 if Cov(y) is exactly I, 1 if it is exactly D D^t, else None.
 
-    Cov(y) is factorised densely, but only the band of its factor A is
-    kept: M = A^-t Cov(x) A^-1 comes from two banded solves (LAPACK tbtrs)
-    over n right-hand sides, W = A^-t Cov(x) and then A^-t W^t, in
-    O(n^2 kd) rather than O(n^3).  M is reduced once to tridiagonal form
-    (LAPACK sytrd); its eigenvalues ``lam`` come from that form at once
-    (sterf), and the eigenvectors only if ``basis`` is read."""
+    Their Cholesky factors are exactly the integer I and D^t, since every
+    step of the factorisation is sqrt(1), -1 / 1 or sqrt(2 - 1).  A scaled
+    noise tau^2 D D^t is not taken: its rounded Cholesky factor differs from
+    tau D^t in the last bit, and the band the transform solves with would
+    move.  The band is read first, so a mismatch costs O(n)."""
+    n = cov_y.shape[0]
+    diag = np.diagonal(cov_y)
+    if diag[0] != 1.0:
+        return None
+    if np.all(diag == 1.0):
+        return 0 if np.count_nonzero(cov_y) == n else None
+    if (np.all(diag[1:] == 2.0) and np.all(np.diagonal(cov_y, 1) == -1.0)
+            and np.all(np.diagonal(cov_y, -1) == -1.0)
+            and np.count_nonzero(cov_y) == 3 * n - 2):
+        return 1
+    return None
+
+
+def _running_sum_reduction(cov_x: np.ndarray, kd: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_band, M) for the noise factor A = I (kd = 0) or A = D^t (kd = 1),
+    with no factorisation and no solve.  A^-t = D^-1 is the running sum
+    down a column, so M = D^-1 Cov(x) D^-t is a running sum along each row
+    of Cov(x), then down each column of that.  Each sum is taken in the
+    order the banded solve with A^t takes it, with the same operands, so M
+    has the bits the Cholesky route gives.  Rows are summed by row adds in
+    place rather than by a strided cumsum down axis 0; M is the one new
+    n x n array."""
+    n = cov_x.shape[0]
+    a_band = np.zeros((kd + 1, n), order="F")
+    a_band[kd] = 1.0
+    m = np.empty((n, n))
+    if kd == 0:
+        m[...] = cov_x
+    else:
+        a_band[0, 1:] = -1.0
+        np.cumsum(cov_x, axis=1, out=m)
+        for i in range(1, n):
+            np.add(m[i - 1], m[i], out=m[i])
+    return a_band, m
+
+
+def _cholesky_reduction(cov_x: np.ndarray, cov_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a_band, M) with A the dense Cholesky factor of Cov(y), of which only
+    the band is kept: M = A^-t Cov(x) A^-1 comes from two banded solves
+    (LAPACK tbtrs) over n right-hand sides, W = A^-t Cov(x) and then
+    A^-t W^t, in O(n^2 kd) rather than O(n^3)."""
     from scipy.linalg import cholesky
-    from scipy.linalg.lapack import dsterf, dsytrd, dsytrd_lwork, dtbtrs
+    from scipy.linalg.lapack import dtbtrs
     try:
         a = cholesky(cov_y, lower=False)
     except LinAlgError as exc:
@@ -228,29 +274,67 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
         a_band[kd - d, d:] = np.diagonal(a, d)
     del a
     # Cov(x) is symmetric, so its transpose is the same matrix in Fortran order
-    w = dtbtrs(a_band, np.asarray(cov_x, dtype=float).T, uplo="U", trans="T")[0]
-    m = dtbtrs(a_band, w.T, uplo="U", trans="T")[0]
-    del w
-    m = 0.5 * (m + m.T)
+    w = dtbtrs(a_band, cov_x.T, uplo="U", trans="T")[0]
+    return a_band, dtbtrs(a_band, w.T, uplo="U", trans="T")[0]
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """m = (m + m^t) / 2 in place, TILE x TILE tiles at a time, so no
+    n x n temporary is made; each entry gets the bits 0.5 * (m + m.T) gives."""
+    n = m.shape[0]
+    for i in range(0, n, TILE):
+        for j in range(0, i + 1, TILE):
+            lower, upper = m[i:i + TILE, j:j + TILE], m[j:j + TILE, i:i + TILE]
+            s = lower + upper.T
+            s *= 0.5
+            lower[...] = s
+            if i != j:
+                upper[...] = s.T
+
+
+def _reflector_block(c: np.ndarray) -> np.ndarray:
+    """The reflectors ``dsytrd(lower=1)`` left below the subdiagonal of the
+    Fortran-ordered c, c[1:, :n - 1], moved in place to the front of c's
+    buffer as the contiguous Fortran-ordered block ormqr reads.  Column j
+    moves j + 1 places down, so a group of TILE columns lands below where
+    the next group starts, and each group's copy needs a temporary of TILE
+    columns only."""
+    n = c.shape[0]
+    block = c.T.reshape(-1)[:(n - 1) ** 2].reshape(n - 1, n - 1)   # views of c
+    columns = c.T[:n - 1, 1:]
+    for lo in range(0, n - 1, TILE):
+        block[lo:lo + TILE] = columns[lo:lo + TILE]
+    return block.T
+
+
+def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
+    """The system from the band of A and M = A^-t Cov(x) A^-1, which it
+    symmetrises and overwrites.  M is reduced once to tridiagonal form
+    (LAPACK sytrd, in place); its eigenvalues ``lam`` come from that form at
+    once (sterf), and the eigenvectors only if ``basis`` is read."""
+    from scipy.linalg.lapack import dsterf, dsytrd, dsytrd_lwork
+    _symmetrize(m)
+    n = m.shape[0]
     if n == 1:
         # sytrd and sterf reject an empty off-diagonal
         lam, tridiagonal, basis = m[0].copy(), None, np.ones((1, 1))
         basis.flags.writeable = False
     else:
-        # m is symmetric, so m.T is it in Fortran order and sytrd reduces it
-        # in place; the default workspace of n would leave sytrd unblocked
+        # m is symmetric, so whichever of m and m.T is Fortran-ordered is it,
+        # and sytrd reduces it in place; the default workspace of n would
+        # leave sytrd unblocked
         lwork = int(dsytrd_lwork(n, lower=1)[0])
-        c, d, e, tau, info = dsytrd(m.T, lower=1, lwork=lwork, overwrite_a=1)
+        c, d, e, tau, info = dsytrd(m if m.flags.f_contiguous else m.T, lower=1,
+                                    lwork=lwork, overwrite_a=1)
         if info != 0:
             raise LinAlgError(f"tridiagonal reduction failed (LAPACK info {info})")
         lam, info = dsterf(d, e)
         if info != 0:
             raise LinAlgError(f"eigenvalues did not converge (LAPACK info {info})")
         lam = lam[::-1].copy()
-        # keep only the reflectors, in the contiguous block ormqr reads, so
-        # the first read of basis holds no copy of the reduced matrix
-        tridiagonal, basis = (np.asfortranarray(c[1:, :n - 1]), tau, d, e), None
-        del m, c
+        # keep only the reflectors, where ormqr reads them, so the first read
+        # of basis holds no second copy of the reduced matrix
+        tridiagonal, basis = (_reflector_block(c), tau, d, e), None
     if lam[0] < 0:
         raise NotPositiveDefiniteError("whitened signal covariance is negative definite")
     if lam[-1] < -NEG_EIG_TOL * max(lam[0], 0.0):
@@ -261,3 +345,24 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     for arr in (a_band, lam):
         arr.flags.writeable = False
     return WhitenedSystem(a_band=a_band, lam=lam, _tridiagonal=tridiagonal, _basis=basis)
+
+
+def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
+    """Whitening transform for a PSD signal covariance against a positive
+    definite noise covariance.  The inputs are left as they are; the
+    returned arrays are read-only, because the system is shared through the
+    ``whitened_system`` cache.
+
+    The noise factor A is taken in closed form when Cov(y) is exactly I or
+    D D^t (K = 0, or K = 1 under D D^t, at tau = 1): A = I or D^t, and M =
+    A^-t Cov(x) A^-1 is a pair of running sums.  Any other Cov(y) is
+    factorised densely by Cholesky, and M comes from two banded solves with
+    the factor's band.  Both routes give the same bits where both apply.
+    Counting the two inputs, whitening peaks at three n x n arrays on the
+    closed-form route and four on the Cholesky route."""
+    cov_x = np.asarray(cov_x, dtype=float)
+    cov_y = np.asarray(cov_y, dtype=float)
+    kd = _unit_difference_width(cov_y)
+    if kd is None:
+        return _reduce(*_cholesky_reduction(cov_x, cov_y))
+    return _reduce(*_running_sum_reduction(cov_x, kd))

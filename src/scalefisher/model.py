@@ -28,8 +28,10 @@ SUM_SQ_HEAD = 64  # lags below max(SUM_SQ_HEAD, len(values)) sum_gamma_squared s
 # even Taylor orders k = 0, 2, ..., 2 (LATTICE_TERMS - 1) of the folded lattice
 # sum's series in the shift (see _folded_lattice)
 LATTICE_TERMS = 16
-# largest n of the dense routes (exact Fisher, estimation, sampling): their
-# peak, about five n x n float64 arrays while whitening, is 2.5 GiB at the limit
+# largest n of the dense routes (exact Fisher, estimation, sampling).
+# Whitening peaks at three n x n float64 arrays (1.5 GiB at the limit) for
+# K = 0 and for K = 1 under D D^t at tau = 1, and at four (2 GiB) for the
+# rest, measured by tracemalloc at n = 1024 (tests/test_linalg.py)
 MAX_DENSE_N = 8192
 
 DELTA_DELTAT = "delta_deltaT"   # Cov(y) = tau^2 (D D^t)^K

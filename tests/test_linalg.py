@@ -1,6 +1,9 @@
 """Structured-matrix layer: difference covariances, the cosine eigenbasis,
 and the whitening transform."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular, toeplitz
@@ -244,6 +247,78 @@ def test_whiten_banded_build_matches_dense_solves(n, K, conv):
     got = (system.basis * system.lam[None, :]) @ system.basis.T
     assert np.abs(got - expect).max() <= 1e-12 * system.lam[0]
     assert np.array_equal(cov_x, before)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("K", [0, 1])
+@pytest.mark.parametrize("signal", ["toeplitz", "product"])
+def test_closed_form_factor_is_bit_identical_to_cholesky(n, K, signal, monkeypatch):
+    # for Cov(y) = I or D D^t the noise factor is I or D^t in closed form
+    # and M is a pair of running sums; the dense Cholesky factor and its two
+    # banded solves give the same bits, also for a signal covariance that
+    # is symmetric only up to rounding (a BLAS product)
+    if signal == "toeplitz":
+        cov_x = toeplitz(sf.gamma_fgn(0.3, np.arange(n)))
+    else:
+        g = np.random.default_rng(n).standard_normal((n, n))
+        cov_x = g @ g.T / n
+    cov_x.flags.writeable = False
+    before = cov_x.copy()
+    cov_y = sf.diff_cov(n, K, 1.0)
+    assert sf.linalg._unit_difference_width(cov_y) == min(K, n - 1)
+    closed = sf.whiten(cov_x, cov_y)
+    monkeypatch.setattr(sf.linalg, "_unit_difference_width", lambda cov_y: None)
+    dense = sf.whiten(cov_x, cov_y)
+    for name in ("lam", "a_band", "basis"):
+        assert np.array_equal(getattr(closed, name), getattr(dense, name)), name
+        assert not getattr(closed, name).flags.writeable, name
+    z = np.random.default_rng(n + 1).standard_normal((n, n))
+    assert np.array_equal(closed.transform(z), dense.transform(z))
+    assert np.array_equal(cov_x, before)
+
+
+USER_K0 = sf.user_spec(64, beta=0.25, sigma=1.0, tau=1.0, K=0, gamma_values=(2.0, 1.0, 0.7),
+                       alpha=-0.2, ell=sf.SlowlyVaryingSpec("constant", 0.5))
+
+
+@pytest.mark.parametrize("spec, closed", [
+    (sf.fbm_wn_spec(64, 0.3), True),
+    (USER_K0, True),
+    (sf.integrated_fbm_spec(64, 0.1), False),
+    (replace(sf.fbm_wn_spec(64, 0.3), noise_convention="deltaT_delta"), False),
+    (sf.fbm_wn_spec(64, 0.3, tau=0.9), False),
+    (replace(USER_K0, tau=0.9), False),
+], ids=["fbm-wn", "user-K0", "integrated-fbm", "fbm-wn-DtD", "fbm-wn-tau", "user-K0-tau"])
+def test_whitened_system_takes_closed_form_factor_for_unit_noise(spec, closed, monkeypatch):
+    # K = 0, and K = 1 under D D^t, at tau = 1 skip the Cholesky; scaled
+    # noise, D^t D and K = 2 keep it, since their rounded factor is not the
+    # closed form to the bit
+    routes = []
+    for name in ("_running_sum_reduction", "_cholesky_reduction"):
+        build = getattr(sf.linalg, name)
+        monkeypatch.setattr(sf.linalg, name,
+                            lambda *args, build=build, name=name: routes.append(name) or build(*args))
+    sf.whitened_system.cache_clear()
+    sf.whitened_system(spec)
+    assert routes == ["_running_sum_reduction" if closed else "_cholesky_reduction"]
+
+
+@pytest.mark.parametrize("spec, arrays", [(sf.fbm_wn_spec(1024, 0.3), 3.1),
+                                          (sf.integrated_fbm_spec(1024, 0.1), 4.1)],
+                         ids=["fbm-wn", "integrated-fbm"])
+def test_whitening_peak_memory(spec, arrays):
+    # counting Cov(x) and Cov(y), the closed-form route adds only M, which
+    # it symmetrises, reduces and keeps the reflectors in; the Cholesky
+    # route holds both banded solves' outputs at once
+    sf.whitened_system(sf.fbm_wn_spec(8, 0.3)).basis     # imports are not counted
+    sf.whitened_system.cache_clear()
+    tracemalloc.start()
+    try:
+        sf.whitened_system(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * spec.n ** 2
 
 
 @pytest.mark.parametrize("spec", [sf.fbm_wn_spec(257, 0.3), sf.integrated_fbm_spec(64, 0.1)],
