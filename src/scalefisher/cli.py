@@ -59,12 +59,14 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(args, text: str) -> None:
+    """``text`` to the --output file or else stdout, ending in one newline
+    either way."""
+    if not text.endswith("\n"):
+        text += "\n"
     if getattr(args, "output", None):
         _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _number(flag: str, text: str, kind=float):

@@ -1,4 +1,5 @@
-"""Structured matrices and transforms: difference-operator covariances, the
+"""Structured matrices and transforms: difference-operator covariances and
+their integer factor (applied to noise draws as running differences), the
 half-shifted cosine basis that diagonalizes them exactly (dense, and applied
 by FFT), and the whitening transform behind the eigenvalue form of the
 Fisher information.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .model import CONVENTIONS, DELTA_DELTAT, DomainError
+from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError
 
 NEG_EIG_TOL = 1e-8
 # columns of every BLAS-3 panel.  OpenBLAS gives a column of a width-8 panel
@@ -71,6 +72,28 @@ def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.n
     out[-K:, -K:] = corner[-K:, -K:]
     out *= tau ** 2     # in place: one n x n array
     return out
+
+
+def _difference_noise(rows, K: int, convention: str) -> np.ndarray:
+    """F v along the last axis of ``rows``, for the integer factor F with
+    F F^t exactly ``diff_cov(n, K, 1.0, convention)``.
+
+    Under D D^t, F = (D D^t)^(K // 2) D^(K % 2), applied as K running
+    differences, rightmost factor first: D (v_i - v_{i-1}, first entry
+    kept) while an odd number of steps is left, D^t (v_i - v_{i+1}, last
+    entry kept) while an even number is.  Under D^t D, F is that factor with
+    its rows reversed, since reversing the index turns D into D^t.  Each
+    step is elementwise along a row, so each row of a batch gets the bits
+    of its one-row call."""
+    y = np.array(rows, dtype=float)
+    for left in range(K, 0, -1):
+        # numpy buffers overlapping operands, so each entry reads its
+        # neighbour as it was before the step
+        if left % 2:
+            y[..., 1:] -= y[..., :-1]
+        else:
+            y[..., :-1] -= y[..., 1:]
+    return y[..., ::-1] if convention == DELTAT_DELTA else y
 
 
 def dct_nodes(n: int) -> np.ndarray:

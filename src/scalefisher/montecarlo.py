@@ -2,10 +2,11 @@
 
 Draws are made in panels of ``linalg.PANEL`` replicates: one triangular
 product (BLAS trmm) of the Cholesky factor of the signal covariance with the
-panel, and one batched cosine transform by FFT for the noise.  A single
-draw is the one live column of its panel, so there is one code path, and a
-column's bits do not depend on its position or its neighbours.  Replicate
-streams are counter-based (Philox keyed by (seed, replicate)), so a
+panel, and K running differences along each row of noise draws, which
+apply the exact integer factor F of the noise covariance tau^2 F F^t.  A
+single draw is the one live column of its panel, so there is one code path,
+and a column's bits do not depend on its position or its neighbours.
+Replicate streams are counter-based (Philox keyed by (seed, replicate)), so a
 replicate's draw is bit-identical whether generated alone, in a different
 batch, or on a different worker count.  Studies run replicates panel by
 panel, one stage at a time across the panel, so each n x n array is read
@@ -29,8 +30,8 @@ from numpy.linalg import LinAlgError
 
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
-from .linalg import PANEL, NotPositiveDefiniteError, cosine_transform, dct_nodes
-from .model import DELTAT_DELTA, DomainError, ModelSpec
+from .linalg import PANEL, NotPositiveDefiniteError, _difference_noise
+from .model import DomainError, ModelSpec
 
 ESTIMATORS = ("oracle", "efficient")
 
@@ -60,11 +61,13 @@ def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
     """One exact draw of the observation vector.
 
     Signal: L xi, with L the lower Cholesky factor of Cov(x), by a BLAS
-    triangular product that reads only L's lower half.  Noise: C diag(d)
-    xi_noise, synthesized in the cosine eigenbasis C where its covariance is
-    exactly diagonal (index-reversed for the D^t D convention), with C
-    applied by ``cosine_transform``.  The draw is the one live column of a
-    ``_sample_each`` panel.
+    triangular product that reads only L's lower half.  Noise: tau F
+    xi_noise, with F = (D D^t)^(K // 2) D^(K % 2) the integer factor of
+    (D D^t)^K (index-reversed for the D^t D convention), applied as K
+    running differences in O(K n).  The draw is the one live column of a
+    ``_sample_each`` panel.  Draws made before the noise took this factor
+    used the cosine eigenbasis instead: a seed gives the same signal as
+    then, and a different but equally exact noise.
     """
     if not 0 <= rep_index < 2 ** 64:
         raise DomainError(f"rep_index must lie in [0, 2^64), got {rep_index}")
@@ -75,10 +78,10 @@ def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
     """``sample_z`` of each of the at most PANEL replicates in ``reps``, as
     the leading columns of an n x PANEL Fortran-ordered panel whose other
     columns are zero.  The signal is one BLAS trmm of L with the panel of
-    draws, so L is read once per panel; the noise is one cosine transform
-    of the live rows.  A column of a width-PANEL panel gets the same bits at
-    any position whatever its neighbours hold, so a replicate's draw does
-    not depend on the range."""
+    draws, so L is read once per panel; the noise is K running differences
+    along each live row of draws, elementwise.  A column of a width-PANEL
+    panel gets the same bits at any position whatever its neighbours hold,
+    so a replicate's draw does not depend on the range."""
     from scipy.linalg.blas import dtrmm
     n = spec.n
     xi = np.zeros((n, PANEL), order="F")
@@ -88,13 +91,9 @@ def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
         xi[:, j] = rng.standard_normal(n)
         xi_noise[j] = rng.standard_normal(n)
     x = dtrmm(1.0, _signal_chol(spec), xi, lower=1)
-    u = dct_nodes(n)
-    d = 2.0 ** spec.K * spec.tau * np.sin(u / 2.0) ** spec.K
-    y = cosine_transform(d * xi_noise)
-    if spec.noise_convention == DELTAT_DELTA:
-        y = y[:, ::-1]
+    y = _difference_noise(xi_noise, spec.K, spec.noise_convention)
     z = spec.sigma * float(n) ** (-spec.beta) * x
-    z[:, :len(reps)] += y.T
+    z[:, :len(reps)] += spec.tau * y.T
     return z
 
 
@@ -154,7 +153,7 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
     replicate order).
 
     Replicates run in panels of at most ``linalg.PANEL``, stage by stage
-    (draws, one signal trmm, one batched cosine transform, one whitening
+    (draws, one signal trmm, the noise's running differences, one whitening
     solve, one eigenbasis gemm, then the estimator on each column), so each
     n x n array is read once per panel rather than once per replicate.
     ``sample_z`` and ``estimate`` (or ``oracle_estimate``) make the same

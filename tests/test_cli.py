@@ -341,7 +341,8 @@ def test_unknown_subcommand_exit(capsys):
 
 def test_json_outputs_are_the_library_results(capsys, tmp_path):
     # fisher and estimate print the result's to_json(), keyed by the result
-    # type's field names in order; mc-study writes the study's to_json()
+    # type's field names in order; mc-study writes the study's to_json() to
+    # its --output file, which ends in a newline like stdout and every CSV
     spec_args = ("--preset", "fbm-wn", "--H", "0.5", "--n", "512")
     spec = sf.fbm_wn_spec(512, 0.5)
     code, out, _ = run_cli(capsys, "fisher", *spec_args, "--method", "closed-form")
@@ -364,7 +365,7 @@ def test_json_outputs_are_the_library_results(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "mc-study", *spec_args, "--seed", "21",
                            "--reps", "6", "--output", str(study))
     assert code == 0 and not out
-    assert study.read_text() == sf.run_study(spec, 6, 21).to_json()
+    assert study.read_text() == sf.run_study(spec, 6, 21).to_json() + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -403,7 +403,7 @@ def test_panel_columns_are_position_independent(n):
         panel = column(p, rng.standard_normal((n, width)))
         assert np.array_equal(dtrmm(1.0, factor, panel, lower=1)[:, p], trmm0), p
         assert np.array_equal(system._transform_each(panel)[:, p], whiten0), p
-    # the noise transform batches rows through one FFT call
+    # the cosine transform batches rows through one FFT call
     rows = rng.standard_normal((width, n))
     batched = sf.cosine_transform(rows)
     for p in range(width):

@@ -61,6 +61,14 @@ def test_sampler_rejects_nonpositive_tau():
         sf.fbm_wn_spec(16, 0.5, tau=0.0)
 
 
+def dense_noise_factor(n, K, convention):
+    """(D D^t)^(K // 2) D^(K % 2), rows reversed under D^t D: the integer
+    factor F with F F^t = (D D^t)^K or (D^t D)^K."""
+    d = np.eye(n) - np.eye(n, k=-1)
+    f = np.linalg.matrix_power(d @ d.T, K // 2) @ np.linalg.matrix_power(d, K % 2)
+    return f[::-1] if convention == "deltaT_delta" else f
+
+
 @pytest.mark.parametrize("make_spec", [
     lambda: sf.fbm_wn_spec(257, 0.3, sigma=1.4, tau=0.7),
     lambda: replace(sf.fbm_wn_spec(200, 0.6), noise_convention="deltaT_delta"),
@@ -69,20 +77,32 @@ def test_sampler_rejects_nonpositive_tau():
                          sf.SlowlyVaryingSpec("constant", 0.1)),
 ], ids=["fbm-wn", "fbm-wn-deltaT_delta", "integrated-fbm", "user-K0"])
 def test_sample_z_matches_dense_reference(make_spec):
-    # sigma n^-beta L xi + C diag(d) xi_noise with dense products, from the
+    # sigma n^-beta L xi + tau F xi_noise with dense products, from the
     # same replicate stream: the fast sampler moves draws only by rounding
     spec = make_spec()
     factor = sf.montecarlo._signal_chol(spec)
     assert factor.flags.f_contiguous and not factor.flags.writeable
     rng = sf.montecarlo._rep_rng(31, 4)
     xi, xi_noise = rng.standard_normal(spec.n), rng.standard_normal(spec.n)
-    d = 2.0 ** spec.K * spec.tau * np.sin(sf.dct_nodes(spec.n) / 2.0) ** spec.K
-    y = sf.dct_basis(spec.n) @ (d * xi_noise)
-    if spec.noise_convention == "deltaT_delta":
-        y = y[::-1]
+    y = spec.tau * dense_noise_factor(spec.n, spec.K, spec.noise_convention) @ xi_noise
     expect = spec.sigma * float(spec.n) ** (-spec.beta) * (factor @ xi) + y
     got = sf.sample_z(spec, 31, 4)
     assert np.abs(got - expect).max() <= 1e-11 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("convention", ["delta_deltaT", "deltaT_delta"])
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_noise_factor_is_exact(K, convention):
+    # the running differences apply an integer F with F F^t = diff_cov to
+    # the last bit, and each row of a batch keeps the bits of its own call
+    for n in (1, 2, 3, 9, 64):
+        f = sf.linalg._difference_noise(np.eye(n), K, convention).T
+        assert np.array_equal(f, dense_noise_factor(n, K, convention)), n
+        assert np.array_equal(f @ f.T, sf.diff_cov(n, K, 1.0, convention)), n
+    rows = np.random.default_rng(K).standard_normal((sf.linalg.PANEL, 64))
+    batched = sf.linalg._difference_noise(rows, K, convention)
+    for p in range(len(rows)):
+        assert np.array_equal(batched[p], sf.linalg._difference_noise(rows[p], K, convention)), p
 
 
 def test_counter_based_streams():
