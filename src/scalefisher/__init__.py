@@ -25,7 +25,6 @@ from .fisher import (
 from .linalg import (
     NotPositiveDefiniteError,
     WhitenedSystem,
-    cosine_transform,
     dct_basis,
     dct_nodes,
     diff_cov,

@@ -1,7 +1,7 @@
-"""Structured matrices and transforms: difference-operator covariances and
-their integer factor (applied to noise draws as running differences), the
-half-shifted cosine basis that diagonalizes them exactly (dense, and applied
-by FFT), and the whitening transform behind the eigenvalue form of the
+"""Structured matrices and transforms: difference-operator covariances, built
+from and drawn through their integer factor (applied as running
+differences), the dense half-shifted cosine basis that diagonalizes them
+exactly, and the whitening transform behind the eigenvalue form of the
 Fisher information.
 
 The LAPACK routines come from ``scipy.linalg``, which is imported inside the
@@ -35,23 +35,19 @@ class NotPositiveDefiniteError(RuntimeError):
     """Cholesky factorization failed; the matrix is not positive definite."""
 
 
-def _diff_base(n: int, convention: str) -> np.ndarray:
-    """D D^t or D^t D for the n x n first-difference matrix D."""
-    d = np.eye(n) - np.eye(n, k=-1)
-    return d @ d.T if convention == DELTA_DELTAT else d.T @ d
-
-
 def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.ndarray:
     """Noise covariance tau^2 (D D^t)^K or tau^2 (D^t D)^K with exact
     integer combinatorial entries before the tau^2 scaling.
 
     The power is banded: away from the ends it is the stencil
     (-1)^m C(2K, K+m), |m| <= K, of (2 - 2 cos)^K, and only the K x K corner
-    at each end differs.  The corners come from the power of a
-    (4K + 2)-point block, whose ends are those of the full matrix, and no
-    path of K steps from a corner entry reaches the block's other end.
-    Every entry is a small integer, so the float64 result equals the
-    integer matrix power exactly."""
+    at each end differs.  The corners come from F F^t over a (4K + 2)-point
+    block, F the integer factor of ``_difference_noise`` (which turns the
+    identity's rows into F^t).  The block's ends are those of the full
+    matrix, and no path of K steps from a corner entry reaches its other
+    end; at n <= 4K + 2 the block is the whole matrix.  Every entry is a
+    small integer, so the float64 result equals the integer matrix power
+    exactly."""
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}")
     if K == 0:
@@ -59,17 +55,19 @@ def diff_cov(n: int, K: int, tau: float, convention: str = DELTA_DELTAT) -> np.n
         out *= tau ** 2
         return out
     block = 4 * K + 2
+    g = _difference_noise(np.eye(min(n, block)), K, convention)
+    corner = g.T @ g
     if n <= block:
-        return tau ** 2 * np.linalg.matrix_power(_diff_base(n, convention), K)
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    for m in range(K + 1):
-        c = (-1.0) ** m * math.comb(2 * K, K + m)
-        flat[m:(n - m) * n:n + 1] = c     # m-th superdiagonal
-        flat[m * n::n + 1] = c            # m-th subdiagonal
-    corner = np.linalg.matrix_power(_diff_base(block, convention), K)
-    out[:K, :K] = corner[:K, :K]
-    out[-K:, -K:] = corner[-K:, -K:]
+        out = corner
+    else:
+        out = np.zeros((n, n))
+        flat = out.reshape(-1)
+        for m in range(K + 1):
+            c = (-1.0) ** m * math.comb(2 * K, K + m)
+            flat[m:(n - m) * n:n + 1] = c     # m-th superdiagonal
+            flat[m * n::n + 1] = c            # m-th subdiagonal
+        out[:K, :K] = corner[:K, :K]
+        out[-K:, -K:] = corner[-K:, -K:]
     out *= tau ** 2     # in place: one n x n array
     return out
 
@@ -105,32 +103,14 @@ def dct_basis(n: int) -> np.ndarray:
     """Orthonormal symmetric cosine basis C_ij = 2/sqrt(2n+1) cos((i-1/2) u_j).
 
     C diagonalizes D D^t exactly; the row-reversed basis E C diagonalizes
-    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only; the dense
-    oracle for ``cosine_transform``, which applies C without forming it.
+    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only; an oracle
+    for the difference covariances, which no route computes through it.
     """
     u = dct_nodes(n)
     i = np.arange(1, n + 1)[:, None]
     basis = 2.0 / np.sqrt(2.0 * n + 1.0) * np.cos((i - 0.5) * u[None, :])
     basis.flags.writeable = False
     return basis
-
-
-def cosine_transform(v) -> np.ndarray:
-    """dct_basis(n) @ v along the last axis of v, which is also C^t v since
-    C is symmetric, by one complex FFT of length N = 2n + 1 in O(n log n).
-    Each row of a batch gives the bits of its one-row call.
-
-    With p, q = 0..n-1 the entry C_pq is 2/sqrt(N) cos(pi (2p+1)(2q+1) / (2N)),
-    and (2p+1)(2q+1) / (2N) = 2pq/N + q/N + (2p+1)/(2N): pre-twiddle v_q by
-    exp(i pi q/N), take the unnormalised inverse DFT of length N, post-twiddle
-    by exp(i pi (2p+1)/(2N)) and keep the real part."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
-    big_n = 2 * n + 1
-    twiddle = np.exp(1j * np.pi / big_n * np.arange(n))
-    w = np.fft.ifft(v * twiddle, n=big_n, norm="forward")[..., :n]
-    post = twiddle * np.exp(0.5j * np.pi / big_n)
-    return 2.0 / np.sqrt(big_n) * (w * post).real
 
 
 def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,

@@ -43,6 +43,12 @@ class DomainError(ValueError):
     """A parameter lies outside its mathematically valid domain."""
 
 
+def is_integer(v) -> bool:
+    """True for a Python or numpy integer, and False for a bool, which is
+    an int to Python but no count."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def noise_symbol(lam, K: int, tau: float):
     """Symbol 4^K tau^2 sin^(2K)(lam/2) of the noise covariance tau^2 (D D^t)^K:
     its spectral density, and its eigenvalues at the cosine nodes."""
@@ -341,8 +347,11 @@ class ModelSpec:
     preset: str = "user"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be a positive integer")
+        # a float n or K would pass the comparisons below, then fail deep in
+        # numpy (n = 64.0) or give a Fisher value for a size that does not
+        # exist (n = 64.5)
+        if not is_integer(self.n) or self.n < 1:
+            raise DomainError(f"n must be a positive integer, got {self.n!r}")
         # chained comparisons, so nan and inf fail them too
         if not 0 < self.beta < math.inf:
             raise DomainError(f"beta must be positive and finite, got {self.beta}")
@@ -350,8 +359,8 @@ class ModelSpec:
             raise DomainError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not 0 < self.tau < math.inf:
             raise DomainError(f"tau must be positive and finite, got {self.tau}")
-        if self.K < 0 or int(self.K) != self.K:
-            raise DomainError("K must be a nonnegative integer")
+        if not is_integer(self.K) or self.K < 0:
+            raise DomainError(f"K must be a nonnegative integer, got {self.K!r}")
         if not -0.5 < self.alpha < 0.5:
             raise DomainError("alpha must lie in (-1/2, 1/2)")
         if self.K <= self.alpha:

@@ -31,7 +31,7 @@ from numpy.linalg import LinAlgError
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
 from .linalg import PANEL, NotPositiveDefiniteError, _difference_noise
-from .model import DomainError, ModelSpec
+from .model import DomainError, ModelSpec, is_integer
 
 ESTIMATORS = ("oracle", "efficient")
 
@@ -161,13 +161,13 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
     its position or neighbours, so each estimate is bit-identical to theirs
     for any panel filling and worker count.  The split and the information
     weights are built once per study.  DomainError, before any work, unless
-    ``reps >= 2``, ``estimator`` is one of ``ESTIMATORS`` and ``workers`` is
-    an integer >= 1."""
-    if reps < 2:
-        raise DomainError("need at least two replicates")
+    ``reps`` is an integer >= 2, ``estimator`` is one of ``ESTIMATORS`` and
+    ``workers`` is an integer >= 1."""
+    if not is_integer(reps) or reps < 2:
+        raise DomainError(f"reps must be an integer >= 2, got {reps!r}")
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not is_integer(workers) or workers < 1:
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     system = whitened_system(spec)
     _signal_chol(spec)

@@ -108,16 +108,6 @@ def test_dct_orthonormal_and_symmetric(n):
     assert np.abs(c - c.T).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257, 2048])
-def test_cosine_transform_matches_dense_basis(n):
-    v = np.random.default_rng(n).standard_normal(n)
-    norm = np.linalg.norm(v)
-    got = sf.cosine_transform(v)
-    assert np.abs(got - sf.dct_basis(n) @ v).max() <= 1e-11 * norm
-    # C is symmetric and orthogonal, so applying it twice is the identity
-    assert np.abs(sf.cosine_transform(got) - v).max() <= 1e-13 * norm
-
-
 def test_dct_single_point():
     eig = noise_symbol(sf.dct_nodes(1), 1, 1.0)
     assert eig[0] == pytest.approx(4 * np.sin(np.pi / 6) ** 2, abs=1e-15)
@@ -403,8 +393,3 @@ def test_panel_columns_are_position_independent(n):
         panel = column(p, rng.standard_normal((n, width)))
         assert np.array_equal(dtrmm(1.0, factor, panel, lower=1)[:, p], trmm0), p
         assert np.array_equal(system._transform_each(panel)[:, p], whiten0), p
-    # the cosine transform batches rows through one FFT call
-    rows = rng.standard_normal((width, n))
-    batched = sf.cosine_transform(rows)
-    for p in range(width):
-        assert np.array_equal(batched[p], sf.cosine_transform(rows[p])), p

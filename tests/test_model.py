@@ -662,6 +662,19 @@ def test_model_spec_validation():
                      ell=sf.SlowlyVaryingSpec("constant", 1.0), alpha=0.2)
 
 
+def test_spec_rejects_non_integer_size_and_order():
+    # a float n or K passed validation: fisher_exact then raised a bare
+    # TypeError, and fisher_integral gave a value at n = 64.5
+    for n in (64.0, 64.5, True):
+        with pytest.raises(sf.DomainError, match="n must be"):
+            sf.fbm_wn_spec(n, 0.5)
+    with pytest.raises(sf.DomainError, match="K must be"):
+        sf.user_spec(64, 0.25, 1.0, 1.0, 1.0, (1.0,), 0.0,
+                     sf.SlowlyVaryingSpec("constant", 1.0))
+    assert sf.fbm_wn_spec(np.int64(64), 0.5).n == 64
+    assert sf.fisher_integral(sf.fbm_wn_spec(10 ** 300, 0.5)) > 0
+
+
 @pytest.mark.parametrize("field", ["sigma", "tau", "beta"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_model_spec_rejects_non_finite_parameters(field, value):

@@ -229,6 +229,18 @@ def test_study_agrees_with_exact_law(n, capsys):
     assert abs(z) <= 4
 
 
+@pytest.mark.parametrize("sigma", [0.3, 2.0])
+def test_estimate_efficiency_away_from_unit_scale(sigma, capsys):
+    # the pilot and the information weights depend on sigma, so efficiency
+    # at sigma = 1 alone says nothing of it elsewhere; a plug-in held near
+    # sigma^2 = 1 reads about 3.1 at sigma = 0.3
+    spec = sf.fbm_wn_spec(512, 0.5, sigma=sigma)
+    law, law_se = exact_law_study(spec, reps=2000, seed=1)
+    with capsys.disabled():
+        print(f"\nfbm-wn H=0.5 n=512 sigma={sigma}: exact-law I*MSE {law:.3f} ± {law_se:.3f}")
+    assert law <= 1.6
+
+
 def test_normalized_se_definition():
     spec = sf.fbm_wn_spec(512, 0.5, sigma=1.3)
     study = sf.run_study(spec, reps=25, seed=1)
@@ -260,12 +272,16 @@ def test_run_study_validation():
         sf.run_study(spec, reps=1, seed=0)
     with pytest.raises(sf.DomainError):
         sf.run_study(spec, reps=10, seed=0, estimator="wrong")
+    # a fractional count passed the check and failed later, in range() or
+    # in the split
+    with pytest.raises(sf.DomainError, match="reps"):
+        sf.run_study(spec, reps=2.5, seed=0)
 
 
-@pytest.mark.parametrize("workers", [0, -2, 1.5, "2"])
+@pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
 def test_run_study_rejects_bad_worker_count(monkeypatch, workers):
-    # 0 ended in a ZeroDivisionError from the panel split and -2 ran
-    # serially; the check comes before the whitening
+    # 0 ended in a ZeroDivisionError from the panel split, -2 ran serially
+    # and True ran as one worker; the check comes before the whitening
     monkeypatch.setattr(sf.montecarlo, "whitened_system",
                         lambda spec: pytest.fail("whitened before the check"))
     with pytest.raises(sf.DomainError, match="workers"):
