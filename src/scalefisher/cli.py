@@ -18,7 +18,7 @@ import numpy as np
 from ._quad import QuadratureError
 from .estimator import InsufficientInformation, estimate
 from .fisher import METHODS, fisher_report, rate_scan
-from .linalg import PANEL, NotPositiveDefiniteError
+from .linalg import NotPositiveDefiniteError, _panel_ranges
 from .model import (
     CONVENTIONS,
     DELTA_DELTAT,
@@ -248,10 +248,9 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise DomainError("need at least one replicate")
     lines = ["rep,index,z"]
-    # a panel of PANEL replicates at a time, as run_study draws them; each
-    # column has the bits of its own sample_z
-    for start in range(0, args.reps, PANEL):
-        reps = range(start, min(start + PANEL, args.reps))
+    # a panel of replicates at a time, as run_study draws them; each column
+    # has the bits of its own sample_z
+    for reps in _panel_ranges(args.reps):
         z = _sample_each(spec, args.seed, reps)
         for j, rep in enumerate(reps):
             lines.extend(f"{rep},{i},{_fmt(v)}" for i, v in enumerate(z[:, j]))
@@ -261,8 +260,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc_study(args) -> int:
     spec = build_spec(args)
-    if args.reps < 2:
-        raise DomainError("mc-study requires --reps >= 2")
     study = run_study(spec, args.reps, args.seed, estimator=args.estimator)
     if args.per_rep:
         rows = ["rep,V,sigma2_tilde,sigma2_hat"]

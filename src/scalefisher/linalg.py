@@ -26,6 +26,14 @@ NEG_EIG_TOL = 1e-8
 # alone and a vector among others agree; at width 16 they do not on the
 # SkylakeX kernels (tests/test_linalg.py::test_panel_columns_are_position_independent)
 PANEL = 8
+
+
+def _panel_ranges(count: int) -> list[range]:
+    """Consecutive ranges of at most PANEL that cover range(count), in
+    order: the columns of each BLAS-3 panel."""
+    return [range(lo, min(lo + PANEL, count)) for lo in range(0, count, PANEL)]
+
+
 # rows per block of whitening's in-place passes (the symmetrisation and the
 # move of the reflectors), which bounds their temporaries
 TILE = 64
@@ -192,11 +200,11 @@ class WhitenedSystem:
         z = np.asarray(z, dtype=float)
         cols = z.reshape(z.shape[0], -1)
         out = np.empty(cols.shape)
-        for lo in range(0, cols.shape[1], PANEL):
-            live = min(PANEL, cols.shape[1] - lo)
+        for part in _panel_ranges(cols.shape[1]):
+            live = slice(part.start, part.stop)
             panel = np.zeros((self.n, PANEL), order="F")
-            panel[:, :live] = cols[:, lo:lo + live]
-            out[:, lo:lo + live] = self._transform_each(panel)[:, :live]
+            panel[:, :len(part)] = cols[:, live]
+            out[:, live] = self._transform_each(panel)[:, :len(part)]
         return out.reshape(z.shape)
 
     def _transform_each(self, panel: np.ndarray) -> np.ndarray:

@@ -7,11 +7,11 @@ apply the exact integer factor F of the noise covariance tau^2 F F^t.  A
 single draw is the one live column of its panel, so there is one code path,
 and a column's bits do not depend on its position or its neighbours.
 Replicate streams are counter-based (Philox keyed by (seed, replicate)), so a
-replicate's draw is bit-identical whether generated alone, in a different
-batch, or on a different worker count.  Studies run replicates panel by
-panel, one stage at a time across the panel, so each n x n array is read
-once per panel rather than once per replicate, and every estimate equals
-that of ``sample_z`` + ``estimate``.
+replicate's draw is bit-identical whether generated alone or in a
+different batch.  Studies run replicates panel by panel in one thread, one
+stage at a time across the panel, so each n x n array is read once per
+panel rather than once per replicate, and every estimate equals that of
+``sample_z`` + ``estimate``.
 
 The Cholesky factorisation and the BLAS product come from ``scipy.linalg``,
 imported inside the functions that call them on first use, so that
@@ -21,7 +21,6 @@ routes."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +29,7 @@ from numpy.linalg import LinAlgError
 
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
-from .linalg import PANEL, NotPositiveDefiniteError, _difference_noise
+from .linalg import PANEL, NotPositiveDefiniteError, _difference_noise, _panel_ranges
 from .model import DomainError, ModelSpec, is_integer
 
 ESTIMATORS = ("oracle", "efficient")
@@ -133,42 +132,37 @@ class McStudy:
             "mse": self.mse,
             "fisher_exact": self.fisher_exact,
             "normalized": self.normalized,
+            "normalized_se": self.normalized_se,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _panels(reps: int, workers: int) -> list[range]:
-    """Contiguous replicate ranges of at most PANEL, and at least
-    ``workers`` of them when there are that many replicates."""
-    size = max(1, min(PANEL, -(-reps // workers)))
-    return [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-
-
 def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient",
               workers: int = 1) -> McStudy:
-    """Independent replicates of simulate-then-estimate; deterministic for
-    fixed (spec, reps, seed) and any worker count (results merged in
-    replicate order).
+    """Independent replicates of simulate-then-estimate, in replicate
+    order; deterministic for fixed (spec, reps, seed).
 
-    Replicates run in panels of at most ``linalg.PANEL``, stage by stage
-    (draws, one signal trmm, the noise's running differences, one whitening
-    solve, one eigenbasis gemm, then the estimator on each column), so each
-    n x n array is read once per panel rather than once per replicate.
-    ``sample_z`` and ``estimate`` (or ``oracle_estimate``) make the same
-    panel calls with one live column, and a column's bits do not depend on
-    its position or neighbours, so each estimate is bit-identical to theirs
-    for any panel filling and worker count.  The split and the information
-    weights are built once per study.  DomainError, before any work, unless
-    ``reps`` is an integer >= 2, ``estimator`` is one of ``ESTIMATORS`` and
-    ``workers`` is an integer >= 1."""
+    Replicates run in one thread, in consecutive panels of at most
+    ``linalg.PANEL``, stage by stage (draws, one signal trmm, the noise's
+    running differences, one whitening solve, one eigenbasis gemm, then the
+    estimator on each column), so each n x n array is read once per panel
+    rather than once per replicate.  ``sample_z`` and ``estimate`` (or
+    ``oracle_estimate``) make the same panel calls with one live column,
+    and a column's bits do not depend on its position or neighbours, so
+    each estimate is bit-identical to theirs for any panel filling.  For
+    parallelism give the BLAS library threads.  The split and the
+    information weights are built once per study.  DomainError, before any
+    work, unless ``reps`` is an integer >= 2, ``estimator`` is one of
+    ``ESTIMATORS`` and ``workers`` is the integer 1 (a keyword kept for
+    callers that pass it)."""
     if not is_integer(reps) or reps < 2:
         raise DomainError(f"reps must be an integer >= 2, got {reps!r}")
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}")
-    if not is_integer(workers) or workers < 1:
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
+    if not is_integer(workers) or workers != 1:
+        raise DomainError(f"workers must be 1 (replicates run in one thread), got {workers!r}")
     system = whitened_system(spec)
     _signal_chol(spec)
     info = fisher_exact(spec)
@@ -188,17 +182,10 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
         def finish(z2: np.ndarray) -> EstimateResult:
             return _estimate_from_squares(z2, w, split, system, spec)
 
-    def run_panel(part: range) -> list[EstimateResult]:
+    results = []
+    for part in _panel_ranges(reps):
         q = system._transform_each(_sample_each(spec, seed, part))
-        return [finish(q[:, j] ** 2) for j in range(len(part))]
-
-    parts = _panels(reps, workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_panel, parts))
-    else:
-        done = [run_panel(part) for part in parts]
-    results = [r for part in done for r in part]
+        results.extend(finish(q[:, j] ** 2) for j in range(len(part)))
 
     truth = spec.sigma ** 2
     errs = np.array([r.sigma2_hat for r in results]) - truth

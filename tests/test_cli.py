@@ -141,9 +141,11 @@ def test_simulate_panels_equal_single_draws(capsys, tmp_path):
 
 
 def test_mc_study_zero_reps_rejected(capsys):
-    code, _, err = run_cli(capsys, "mc-study", "--preset", "fbm-wn", "--H", "0.5",
-                           "--n", "64", "--seed", "1", "--reps", "0")
-    assert code == 2
+    # run_study owns the replicate-count rule, and its DomainError exits 2
+    code, out, err = run_cli(capsys, "mc-study", "--preset", "fbm-wn", "--H", "0.5",
+                             "--n", "64", "--seed", "1", "--reps", "0")
+    assert code == 2 and not out
+    assert "reps" in err
 
 
 def test_mc_study_with_per_rep_csv(capsys, tmp_path):
@@ -366,6 +368,7 @@ def test_json_outputs_are_the_library_results(capsys, tmp_path):
                            "--reps", "6", "--output", str(study))
     assert code == 0 and not out
     assert study.read_text() == sf.run_study(spec, 6, 21).to_json() + "\n"
+    assert "normalized_se" in json.loads(study.read_text())
 
 
 @pytest.mark.parametrize("argv", [

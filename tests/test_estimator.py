@@ -2,6 +2,7 @@
 two-stage efficient estimator."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -207,6 +208,34 @@ def test_estimate_deterministic():
     r2 = sf.estimate(z, spec)
     assert r1.sigma2_hat == r2.sigma2_hat
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_eigenbasis_built_once_under_racing_readers(monkeypatch):
+    # threads that call estimate on the shared cached system race to the
+    # first read of its eigenbasis, which the system's lock builds once; each
+    # result equals a serial estimate of the same draw
+    spec = sf.fbm_wn_spec(512, 0.5)
+    sf.whitened_system.cache_clear()
+    sf.whitened_system(spec)
+    calls = []
+    build = sf.linalg._tridiagonal_eigenvectors
+    monkeypatch.setattr(sf.linalg, "_tridiagonal_eigenvectors",
+                        lambda *args: calls.append(1) or build(*args))
+    draws = [sf.sample_z(spec, seed=3, rep_index=r) for r in range(4)]
+    barrier = threading.Barrier(len(draws))
+    results = [None] * len(draws)
+
+    def read(i):
+        barrier.wait()
+        results[i] = sf.estimate(draws[i], spec).to_dict()
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(len(draws))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(calls) == 1
+    assert results == [sf.estimate(z, spec).to_dict() for z in draws]
 
 
 def test_estimate_result_json():

@@ -1,5 +1,6 @@
 """Start-up: the spectral and closed-form routes, and the CLI commands built on
-them, run without loading scipy; only the dense LAPACK routes load it."""
+them, run without loading scipy or a thread pool; only the dense LAPACK routes
+load scipy."""
 
 import json
 import os
@@ -37,8 +38,10 @@ with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         codes.append(scalefisher.cli.main(
             [argv[0], "--preset", "fbm-wn", "--H", "0.3", *argv[1:]]))
 spectral = scipy_modules()
+futures = "concurrent.futures" in sys.modules
 sf.fisher_exact(sf.fbm_wn_spec(64, 0.3))
-print(json.dumps({"codes": codes, "spectral": spectral, "exact": scipy_modules()}))
+print(json.dumps({"codes": codes, "spectral": spectral, "futures": futures,
+                  "exact": scipy_modules()}))
 """
 
 
@@ -51,5 +54,7 @@ def test_spectral_routes_do_not_load_scipy():
     got = json.loads(run.stdout.splitlines()[-1])
     assert got["codes"] == [0, 0, 0]
     assert got["spectral"] == []
+    # Monte Carlo studies run in one thread, so the package imports no pool
+    assert got["futures"] is False
     # the control: the exact route needs LAPACK, and loads it on first use
     assert "scipy.linalg" in got["exact"]
