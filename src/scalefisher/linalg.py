@@ -4,16 +4,23 @@ differences), the dense half-shifted cosine basis that diagonalizes them
 exactly, and the whitening transform behind the eigenvalue form of the
 Fisher information.
 
-The LAPACK routines come from ``scipy.linalg``, which is imported inside the
-functions that call them, on first use: importing scipy takes longer than
-importing numpy and the rest of the package together, and the spectral and
-closed-form routes never need it."""
+The LAPACK and BLAS routines are scipy's compiled f2py wrappers, the
+``scipy.linalg._flapack`` and ``_fblas`` extension modules that
+``scipy.linalg.lapack`` and ``.blas`` re-export.  ``_scipy_wrappers`` loads
+each from its file on first use, without importing the ``scipy.linalg``
+package: that import takes longer than importing numpy and the rest of this
+package together, and the spectral and closed-form routes need no LAPACK."""
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
+from types import ModuleType
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -32,6 +39,43 @@ def _panel_ranges(count: int) -> list[range]:
     """Consecutive ranges of at most PANEL that cover range(count), in
     order: the columns of each BLAS-3 panel."""
     return [range(lo, min(lo + PANEL, count)) for lo in range(0, count, PANEL)]
+
+
+_WRAPPERS_LOCK = threading.Lock()
+
+
+def _scipy_wrappers(name: str) -> ModuleType:
+    """scipy's compiled LAPACK (``"_flapack"``) or BLAS (``"_fblas"``)
+    wrapper module, ``scipy.linalg.<name>``, the module whose routines
+    ``scipy.linalg.lapack`` / ``.blas`` re-export.
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise the
+    extension is loaded from its file next to the ``scipy.linalg`` package,
+    after importing only the top-level ``scipy``, and registered under its
+    full name, so a later ``import scipy.linalg`` reuses the same module
+    object.  The ``scipy.linalg`` package's own import, which loads scipy's
+    array API layer and with it ``numpy.f2py`` and ``numpy.testing``, is
+    skipped.  The load runs once, under a lock, since threads may call the
+    dense routes together."""
+    full = f"scipy.linalg.{name}"
+    module = sys.modules.get(full)
+    if module is not None:
+        return module
+    with _WRAPPERS_LOCK:
+        module = sys.modules.get(full)
+        if module is None:
+            import scipy
+            folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+            paths = [os.path.join(folder, name + suffix)
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next((p for p in paths if os.path.isfile(p)), None)
+            if path is None:
+                raise ImportError(f"no compiled {full}: none of {paths} exists", name=full)
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[full] = module
+    return module
 
 
 # rows per block of whitening's in-place passes (the symmetrisation and the
@@ -132,15 +176,15 @@ def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,
     method of dsyevd), and its vectors z are mapped back by Q = diag(1, Q'):
     Q' z[1:] is an ormqr over ``refl``, which is what ormtr does for lower
     storage.  At most three n x n arrays are alive at once."""
-    from scipy.linalg.lapack import dormqr, dstevd
-    _, z, info = dstevd(d, e, compute_v=1)
+    lapack = _scipy_wrappers("_flapack")
+    _, z, info = lapack.dstevd(d, e, compute_v=1)
     if info != 0:
         raise LinAlgError(f"tridiagonal eigenvectors did not converge (LAPACK info {info})")
     n = d.size
     z0, z1 = z[0, ::-1].copy(), np.asfortranarray(z[1:])
     del z
-    lwork = int(dormqr("L", "N", refl, tau, z1, -1)[1][0])
-    z1, _, info = dormqr("L", "N", refl, tau, z1, lwork, overwrite_c=1)
+    lwork = int(lapack.dormqr("L", "N", refl, tau, z1, -1)[1][0])
+    z1, _, info = lapack.dormqr("L", "N", refl, tau, z1, lwork, overwrite_c=1)
     if info != 0:
         raise LinAlgError(f"eigenvector back-transform failed (LAPACK info {info})")
     basis = np.empty((n, n))
@@ -216,10 +260,8 @@ class WhitenedSystem:
 
         A is a closed-form or Cholesky factor, so its diagonal is positive
         and the solve cannot fail; non-finite data give non-finite output."""
-        from scipy.linalg.blas import dgemm
-        from scipy.linalg.lapack import dtbtrs
-        w = dtbtrs(self.a_band, panel, uplo="U", trans="T")[0]
-        return dgemm(1.0, self.basis.T, w)
+        w = _scipy_wrappers("_flapack").dtbtrs(self.a_band, panel, uplo="U", trans="T")[0]
+        return _scipy_wrappers("_fblas").dgemm(1.0, self.basis.T, w)
 
 
 def _unit_difference_width(cov_y: np.ndarray) -> int | None:
@@ -271,12 +313,10 @@ def _cholesky_reduction(cov_x: np.ndarray, cov_y: np.ndarray) -> tuple[np.ndarra
     the band is kept: M = A^-t Cov(x) A^-1 comes from two banded solves
     (LAPACK tbtrs) over n right-hand sides, W = A^-t Cov(x) and then
     A^-t W^t, in O(n^2 kd) rather than O(n^3)."""
-    from scipy.linalg import cholesky
-    from scipy.linalg.lapack import dtbtrs
-    try:
-        a = cholesky(cov_y, lower=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError("noise covariance is not positive definite") from exc
+    lapack = _scipy_wrappers("_flapack")
+    a, info = lapack.dpotrf(np.asarray_chkfinite(cov_y), lower=0, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError("noise covariance is not positive definite")
     n = a.shape[0]
     # band width: the largest j - i with A[i, j] != 0, from each row's last nonzero
     kd = int(np.max(n - 1 - np.argmax(a[:, ::-1] != 0, axis=1) - np.arange(n)))
@@ -285,8 +325,8 @@ def _cholesky_reduction(cov_x: np.ndarray, cov_y: np.ndarray) -> tuple[np.ndarra
         a_band[kd - d, d:] = np.diagonal(a, d)
     del a
     # Cov(x) is symmetric, so its transpose is the same matrix in Fortran order
-    w = dtbtrs(a_band, cov_x.T, uplo="U", trans="T")[0]
-    return a_band, dtbtrs(a_band, w.T, uplo="U", trans="T")[0]
+    w = lapack.dtbtrs(a_band, cov_x.T, uplo="U", trans="T")[0]
+    return a_band, lapack.dtbtrs(a_band, w.T, uplo="U", trans="T")[0]
 
 
 def _symmetrize(m: np.ndarray) -> None:
@@ -323,7 +363,6 @@ def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
     symmetrises and overwrites.  M is reduced once to tridiagonal form
     (LAPACK sytrd, in place); its eigenvalues ``lam`` come from that form at
     once (sterf), and the eigenvectors only if ``basis`` is read."""
-    from scipy.linalg.lapack import dsterf, dsytrd, dsytrd_lwork
     _symmetrize(m)
     n = m.shape[0]
     if n == 1:
@@ -334,12 +373,13 @@ def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
         # m is symmetric, so whichever of m and m.T is Fortran-ordered is it,
         # and sytrd reduces it in place; the default workspace of n would
         # leave sytrd unblocked
-        lwork = int(dsytrd_lwork(n, lower=1)[0])
-        c, d, e, tau, info = dsytrd(m if m.flags.f_contiguous else m.T, lower=1,
-                                    lwork=lwork, overwrite_a=1)
+        lapack = _scipy_wrappers("_flapack")
+        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+        c, d, e, tau, info = lapack.dsytrd(m if m.flags.f_contiguous else m.T, lower=1,
+                                           lwork=lwork, overwrite_a=1)
         if info != 0:
             raise LinAlgError(f"tridiagonal reduction failed (LAPACK info {info})")
-        lam, info = dsterf(d, e)
+        lam, info = lapack.dsterf(d, e)
         if info != 0:
             raise LinAlgError(f"eigenvalues did not converge (LAPACK info {info})")
         lam = lam[::-1].copy()

@@ -13,10 +13,10 @@ stage at a time across the panel, so each n x n array is read once per
 panel rather than once per replicate, and every estimate equals that of
 ``sample_z`` + ``estimate``.
 
-The Cholesky factorisation and the BLAS product come from ``scipy.linalg``,
-imported inside the functions that call them on first use, so that
-importing the package does not load scipy for the spectral and closed-form
-routes."""
+The Cholesky factorisation and the BLAS product are scipy's compiled
+wrappers, loaded on first use by ``linalg._scipy_wrappers`` without
+importing the ``scipy.linalg`` package, so that importing this package, and
+the spectral and closed-form routes, load no scipy."""
 
 from __future__ import annotations
 
@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
 from .fisher import fisher_exact, information_weights, whitened_system
-from .linalg import PANEL, NotPositiveDefiniteError, _difference_noise, _panel_ranges
+from .linalg import (PANEL, NotPositiveDefiniteError, _difference_noise, _panel_ranges,
+                     _scipy_wrappers)
 from .model import DomainError, ModelSpec, is_integer
 
 ESTIMATORS = ("oracle", "efficient")
@@ -37,15 +37,14 @@ ESTIMATORS = ("oracle", "efficient")
 
 @lru_cache(maxsize=1)
 def _signal_chol(spec: ModelSpec) -> np.ndarray:
-    """Lower Cholesky factor of Cov(x), Fortran-ordered so that ``dtrmm``
-    reads it in place.  Read-only, because the factor is shared through the
-    cache, which keeps only the last spec's: callers sample one spec at a
-    time."""
-    from scipy.linalg import cholesky
-    try:
-        factor = np.asfortranarray(cholesky(spec.cov_x(), lower=True))
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError("signal covariance is not positive definite") from exc
+    """Lower Cholesky factor of Cov(x), Fortran-ordered (as potrf returns
+    it) so that ``dtrmm`` reads it in place.  Read-only, because the factor
+    is shared through the cache, which keeps only the last spec's: callers
+    sample one spec at a time."""
+    factor, info = _scipy_wrappers("_flapack").dpotrf(np.asarray_chkfinite(spec.cov_x()),
+                                                      lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError("signal covariance is not positive definite")
     factor.flags.writeable = False
     return factor
 
@@ -81,7 +80,6 @@ def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
     along each live row of draws, elementwise.  A column of a width-PANEL
     panel gets the same bits at any position whatever its neighbours hold,
     so a replicate's draw does not depend on the range."""
-    from scipy.linalg.blas import dtrmm
     n = spec.n
     xi = np.zeros((n, PANEL), order="F")
     xi_noise = np.empty((len(reps), n))
@@ -89,7 +87,7 @@ def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
         rng = _rep_rng(seed, rep)
         xi[:, j] = rng.standard_normal(n)
         xi_noise[j] = rng.standard_normal(n)
-    x = dtrmm(1.0, _signal_chol(spec), xi, lower=1)
+    x = _scipy_wrappers("_fblas").dtrmm(1.0, _signal_chol(spec), xi, lower=1)
     y = _difference_noise(xi_noise, spec.K, spec.noise_convention)
     z = spec.sigma * float(n) ** (-spec.beta) * x
     z[:, :len(reps)] += spec.tau * y.T

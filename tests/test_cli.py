@@ -112,6 +112,15 @@ def test_estimate_numerical_exit_code(capsys, tmp_path):
     assert "information" in err.lower()
 
 
+def test_simulate_indefinite_signal_exit_code(capsys):
+    # gamma = (1, 2) makes Cov(x) indefinite: a numerical failure, no output
+    code, out, err = run_cli(capsys, "simulate", "--preset", "user", "--n", "16", "--beta", "0.2",
+                             "--K", "0", "--alpha", "-0.1", "--gamma", "1,2", "--seed", "1")
+    assert code == 3
+    assert out == ""
+    assert "signal covariance is not positive definite" in err
+
+
 def test_simulate_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

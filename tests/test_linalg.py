@@ -349,6 +349,12 @@ def test_whiten_rejects_indefinite_noise():
         sf.whiten(np.eye(3), np.diag([1.0, -1.0, 1.0]))
 
 
+def test_whiten_rejects_non_finite_noise():
+    # a NaN is refused before the factorisation, not factorised into the band
+    with pytest.raises(ValueError):
+        sf.whiten(np.eye(3), np.diag([1.0, np.nan, 1.0]))
+
+
 def test_cached_arrays_are_read_only():
     # the whitened system is shared through its cache, so a write through a
     # returned array would silently change it; the uncached cosine basis is

@@ -275,6 +275,15 @@ def test_run_study_rejects_bad_worker_count(monkeypatch, workers):
                      workers=workers)
 
 
+def test_indefinite_signal_covariance_is_rejected():
+    # gamma = (1, 2) is no autocovariance: Cov(x) has eigenvalue -2.28, so
+    # the signal factor does not exist
+    spec = sf.user_spec(16, beta=0.2, sigma=1.0, tau=1.0, K=0, gamma_values=[1, 2],
+                        alpha=-0.1, ell=sf.SlowlyVaryingSpec("constant"))
+    with pytest.raises(sf.NotPositiveDefiniteError, match="signal covariance"):
+        sf.sample_z(spec, 0)
+
+
 def test_study_json():
     import json
     spec = sf.fbm_wn_spec(512, 0.5)
