@@ -367,6 +367,10 @@ class ModelSpec:
             raise DomainError("K must exceed alpha (diamond = 1/(K - alpha) > 0)")
         if self.noise_convention not in CONVENTIONS:
             raise DomainError(f"noise_convention must be one of {CONVENTIONS}")
+        # a numpy integer passes the checks but is no JSON number: keep Python
+        # ints, which hash and compare equal to it
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "K", int(self.K))
 
     @property
     def diamond(self) -> float:

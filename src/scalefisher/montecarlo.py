@@ -1,22 +1,25 @@
 """Exact sampling of the observation model and batch efficiency studies.
 
-Draws are made in panels of ``linalg.PANEL`` replicates: one triangular
-product (BLAS trmm) of the Cholesky factor of the signal covariance with the
-panel, and K running differences along each row of noise draws, which
-apply the exact integer factor F of the noise covariance tau^2 F F^t.  A
-single draw is the one live column of its panel, so there is one code path,
-and a column's bits do not depend on its position or its neighbours.
-Replicate streams are counter-based (Philox keyed by (seed, replicate)), so a
-replicate's draw is bit-identical whether generated alone or in a
-different batch.  Studies run replicates panel by panel in one thread, one
-stage at a time across the panel, so each n x n array is read once per
-panel rather than once per replicate, and every estimate equals that of
-``sample_z`` + ``estimate``.
+Draws are made in panels of ``linalg.PANEL`` replicates: the signal
+factor L of Cov(x) = L L^t applied to the panel, and K running differences
+along each row of noise draws, which apply the exact integer factor F of
+the noise covariance tau^2 F F^t.  When Cov(x) is diagonal (a white
+signal), L is the scalar sqrt(gamma_0) and the panel is scaled; otherwise
+L is the Cholesky factor and the product is one BLAS triangular product
+(trmm).  A single draw is the one live column of its panel, so there is
+one code path, and a column's bits do not depend on its position or its
+neighbours.  Replicate streams are counter-based (Philox keyed by (seed,
+replicate)), so a replicate's draw is bit-identical whether generated alone
+or in a different batch.  Studies run replicates panel by panel in one
+thread, one stage at a time across the panel, so each n x n array is read
+once per panel rather than once per replicate, and every estimate equals
+that of ``sample_z`` + ``estimate``.
 
 The Cholesky factorisation and the BLAS product are scipy's compiled
 wrappers, loaded on first use by ``linalg._scipy_wrappers`` without
-importing the ``scipy.linalg`` package, so that importing this package, and
-the spectral and closed-form routes, load no scipy."""
+importing the ``scipy.linalg`` package, so that importing this package, the
+spectral and closed-form routes, and drawing a white signal load no
+scipy."""
 
 from __future__ import annotations
 
@@ -30,23 +33,41 @@ from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, ma
 from .fisher import fisher_exact, information_weights, whitened_system
 from .linalg import (PANEL, NotPositiveDefiniteError, _difference_noise, _panel_ranges,
                      _scipy_wrappers)
-from .model import DomainError, ModelSpec, is_integer
+from .model import MAX_DENSE_N, DomainError, ModelSpec, is_integer
 
 ESTIMATORS = ("oracle", "efficient")
 
 
 @lru_cache(maxsize=1)
-def _signal_chol(spec: ModelSpec) -> np.ndarray:
-    """Lower Cholesky factor of Cov(x), Fortran-ordered (as potrf returns
-    it) so that ``dtrmm`` reads it in place.  Read-only, because the factor
-    is shared through the cache, which keeps only the last spec's: callers
+def _signal_chol(spec: ModelSpec) -> float | np.ndarray:
+    """The factor L of Cov(x) = L L^t that draws the signal, decided once
+    per spec.  When lags 1 .. n-1 of the Toeplitz Cov(x) are all exactly 0,
+    L is the scalar sqrt(gamma_0), read from the n autocovariances with no
+    n x n array (``dtrmm`` with sqrt(gamma_0) I has the same bits).  The
+    integrated kind's first row is not Toeplitz, and beyond MAX_DENSE_N
+    ``cov_x`` refuses the spec, so both take the dense route.  Otherwise L
+    is the lower Cholesky factor, Fortran-ordered (as potrf returns it) so
+    that ``dtrmm`` reads it in place.  Read-only, because the factor is
+    shared through the cache, which keeps only the last spec's: callers
     sample one spec at a time."""
+    if spec.n <= MAX_DENSE_N and spec.x_cov.kind != "integrated_fbm_increment":
+        gamma = np.asarray_chkfinite(spec.gamma_array(spec.n - 1))
+        if not gamma[1:].any():
+            if not gamma[0] > 0:
+                raise NotPositiveDefiniteError("signal covariance is not positive definite")
+            return float(np.sqrt(gamma[0]))
     factor, info = _scipy_wrappers("_flapack").dpotrf(np.asarray_chkfinite(spec.cov_x()),
                                                       lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError("signal covariance is not positive definite")
     factor.flags.writeable = False
     return factor
+
+
+def _check_seed(seed) -> int:
+    if not is_integer(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
@@ -58,15 +79,17 @@ def _rep_rng(seed: int, rep_index: int) -> np.random.Generator:
 def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
     """One exact draw of the observation vector.
 
-    Signal: L xi, with L the lower Cholesky factor of Cov(x), by a BLAS
-    triangular product that reads only L's lower half.  Noise: tau F
-    xi_noise, with F = (D D^t)^(K // 2) D^(K % 2) the integer factor of
-    (D D^t)^K (index-reversed for the D^t D convention), applied as K
-    running differences in O(K n).  The draw is the one live column of a
-    ``_sample_each`` panel.  Draws made before the noise took this factor
-    used the cosine eigenbasis instead: a seed gives the same signal as
-    then, and a different but equally exact noise.
+    Signal: L xi, with L from ``_signal_chol``: the scalar sqrt(gamma_0)
+    when Cov(x) is diagonal, else the lower Cholesky factor of Cov(x),
+    applied by a BLAS triangular product that reads only its lower half.
+    Noise: tau F xi_noise, with F = (D D^t)^(K // 2) D^(K % 2) the integer
+    factor of (D D^t)^K (index-reversed for the D^t D convention), applied
+    as K running differences in O(K n).  The draw is the one live column of
+    a ``_sample_each`` panel.  DomainError, before any work, unless ``seed``
+    is an integer (negative seeds are taken modulo 2^64) and ``rep_index``
+    lies in [0, 2^64).
     """
+    seed = _check_seed(seed)
     if not 0 <= rep_index < 2 ** 64:
         raise DomainError(f"rep_index must lie in [0, 2^64), got {rep_index}")
     return _sample_each(spec, seed, range(rep_index, rep_index + 1))[:, 0].copy()
@@ -75,11 +98,13 @@ def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
 def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
     """``sample_z`` of each of the at most PANEL replicates in ``reps``, as
     the leading columns of an n x PANEL Fortran-ordered panel whose other
-    columns are zero.  The signal is one BLAS trmm of L with the panel of
-    draws, so L is read once per panel; the noise is K running differences
+    columns are zero.  The signal factor is taken once per panel: a white
+    signal scales the panel of draws, any other is one BLAS trmm of L with
+    it, so L is read once per panel; the noise is K running differences
     along each live row of draws, elementwise.  A column of a width-PANEL
     panel gets the same bits at any position whatever its neighbours hold,
     so a replicate's draw does not depend on the range."""
+    factor = _signal_chol(spec)
     n = spec.n
     xi = np.zeros((n, PANEL), order="F")
     xi_noise = np.empty((len(reps), n))
@@ -87,7 +112,10 @@ def _sample_each(spec: ModelSpec, seed: int, reps: range) -> np.ndarray:
         rng = _rep_rng(seed, rep)
         xi[:, j] = rng.standard_normal(n)
         xi_noise[j] = rng.standard_normal(n)
-    x = _scipy_wrappers("_fblas").dtrmm(1.0, _signal_chol(spec), xi, lower=1)
+    if isinstance(factor, float):
+        x = factor * xi
+    else:
+        x = _scipy_wrappers("_fblas").dtrmm(1.0, factor, xi, lower=1)
     y = _difference_noise(xi_noise, spec.K, spec.noise_convention)
     z = spec.sigma * float(n) ** (-spec.beta) * x
     z[:, :len(reps)] += spec.tau * y.T
@@ -143,20 +171,23 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
     order; deterministic for fixed (spec, reps, seed).
 
     Replicates run in one thread, in consecutive panels of at most
-    ``linalg.PANEL``, stage by stage (draws, one signal trmm, the noise's
-    running differences, one whitening solve, one eigenbasis gemm, then the
-    estimator on each column), so each n x n array is read once per panel
-    rather than once per replicate.  ``sample_z`` and ``estimate`` (or
-    ``oracle_estimate``) make the same panel calls with one live column,
-    and a column's bits do not depend on its position or neighbours, so
-    each estimate is bit-identical to theirs for any panel filling.  For
+    ``linalg.PANEL``, stage by stage (draws, one signal scaling or trmm,
+    the noise's running differences, one whitening solve, one eigenbasis
+    gemm, then the estimator on each column), so each n x n array is read
+    once per panel rather than once per replicate.  ``sample_z`` and
+    ``estimate`` (or ``oracle_estimate``) make the same panel calls with
+    one live column, and a column's bits do not depend on its position or
+    neighbours, so each estimate is bit-identical to theirs for any panel
+    filling.  For
     parallelism give the BLAS library threads.  The split and the
     information weights are built once per study.  DomainError, before any
-    work, unless ``reps`` is an integer >= 2, ``estimator`` is one of
-    ``ESTIMATORS`` and ``workers`` is the integer 1 (a keyword kept for
-    callers that pass it)."""
+    work, unless ``reps`` is an integer >= 2, ``seed`` an integer,
+    ``estimator`` one of ``ESTIMATORS`` and ``workers`` the integer 1 (a
+    keyword kept for callers that pass it)."""
     if not is_integer(reps) or reps < 2:
         raise DomainError(f"reps must be an integer >= 2, got {reps!r}")
+    # Python ints from here, so the study's JSON can hold them
+    reps, seed = int(reps), _check_seed(seed)
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}")
     if not is_integer(workers) or workers != 1:

@@ -251,13 +251,15 @@ def test_rate_scan_comma_grid_integers():
 
 
 @pytest.mark.parametrize("argv", [
-    ("fisher", "--method", "exact"),
-    ("simulate", "--seed", "1", "--reps", "1"),
+    ("fisher", "--H", "0.3", "--method", "exact"),
+    ("simulate", "--H", "0.3", "--seed", "1", "--reps", "1"),
+    # a white signal is drawn with no n x n array, but is refused alike
+    ("simulate", "--H", "0.5", "--seed", "1", "--reps", "1"),
 ])
 def test_dense_routes_refuse_large_n(capsys, argv):
     # an n x n covariance at n = 1e5 needs 74.5 GiB: refused before allocating
-    code, out, err = run_cli(capsys, argv[0], "--preset", "fbm-wn", "--H", "0.3",
-                             "--n", "100000", *argv[1:])
+    code, out, err = run_cli(capsys, argv[0], "--preset", "fbm-wn", "--n", "100000",
+                             *argv[1:])
     assert code == 2 and not out
     assert f"MAX_DENSE_N = {sf.model.MAX_DENSE_N}" in err
     assert "--method integral" in err and "closed-form" in err

@@ -1,7 +1,7 @@
-"""Start-up: the spectral and closed-form routes, and the CLI commands built on
-them, run without loading scipy or a thread pool; the dense LAPACK routes load
-scipy's compiled LAPACK and BLAS wrappers without importing the scipy.linalg
-package."""
+"""Start-up: the spectral and closed-form routes, the CLI commands built on
+them and the draws of a white signal run without loading scipy or a thread
+pool; the dense LAPACK routes load scipy's compiled LAPACK and BLAS wrappers
+without importing the scipy.linalg package."""
 
 import json
 import os
@@ -49,6 +49,8 @@ fbm = ["--preset", "fbm-wn", "--H", "0.3"]
 codes = [cli("fisher", *fbm, "--n", "512", "--method", "integral"),
          cli("fisher", *fbm, "--n", "512", "--method", "closed-form"),
          cli("rate-scan", *fbm, "--n-grid", "1e4,1e5")]
+# a white signal is drawn by scaling, with no factorisation or BLAS product
+sf.sample_z(sf.fbm_wn_spec(512, 0.5), 1)
 spectral = scipy_modules()
 sf.fisher_exact(sf.fbm_wn_spec(64, 0.3))
 exact = scipy_modules()
@@ -92,8 +94,10 @@ if scipy_first:
 
 def run():
     spec = sf.fbm_wn_spec(64, 0.5, tau=0.25)
+    # H = 0.3, since a white signal (H = 0.5) is drawn without dpotrf and dtrmm
     return [sf.fisher_exact(sf.fbm_wn_spec(64, 0.5)),
-            sf.estimate(sf.sample_z(spec, 1), spec).to_dict()]
+            sf.estimate(sf.sample_z(spec, 1), spec).to_dict(),
+            sf.sample_z(sf.fbm_wn_spec(64, 0.3), 1).tolist()]
 
 first = run()
 package_before = "scipy.linalg" in sys.modules

@@ -1,6 +1,7 @@
 """Model layer: autocovariance kernels against independent oracles,
 spectral-density cross-validation, and spec validation."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -673,6 +674,19 @@ def test_spec_rejects_non_integer_size_and_order():
                      sf.SlowlyVaryingSpec("constant", 1.0))
     assert sf.fbm_wn_spec(np.int64(64), 0.5).n == 64
     assert sf.fisher_integral(sf.fbm_wn_spec(10 ** 300, 0.5)) > 0
+
+
+def test_numpy_integer_sizes_are_stored_as_python_ints():
+    # validation accepts numpy integers, which json cannot write: the Fisher
+    # report of fbm_wn_spec(np.int64(64), 0.5) raised TypeError in to_json
+    ell = sf.SlowlyVaryingSpec("constant", 1.0)
+    spec = sf.user_spec(np.int64(64), 0.25, 1.0, 1.0, np.int32(1), (1.0,), 0.0, ell)
+    assert type(spec.n) is int and type(spec.K) is int
+    same = sf.user_spec(64, 0.25, 1.0, 1.0, 1, (1.0,), 0.0, ell)
+    assert spec == same and hash(spec) == hash(same)
+    report = sf.fisher_report(sf.fbm_wn_spec(np.int64(64), 0.5))
+    assert json.loads(report.to_json()) == json.loads(sf.fisher_report(
+        sf.fbm_wn_spec(64, 0.5)).to_json())
 
 
 @pytest.mark.parametrize("field", ["sigma", "tau", "beta"])

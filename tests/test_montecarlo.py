@@ -73,9 +73,12 @@ def dense_noise_factor(n, K, convention):
     lambda: sf.fbm_wn_spec(257, 0.3, sigma=1.4, tau=0.7),
     lambda: replace(sf.fbm_wn_spec(200, 0.6), noise_convention="deltaT_delta"),
     lambda: sf.integrated_fbm_spec(128, 0.1, tau=1.3),
+    # at n = 1 Cov(x) is diagonal, but its entry is the integrated kind's
+    # nonstationary first-row variance, not gamma_0
+    lambda: sf.integrated_fbm_spec(1, 0.1, tau=1.3),
     lambda: sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
                          sf.SlowlyVaryingSpec("constant", 0.1)),
-], ids=["fbm-wn", "fbm-wn-deltaT_delta", "integrated-fbm", "user-K0"])
+], ids=["fbm-wn", "fbm-wn-deltaT_delta", "integrated-fbm", "integrated-fbm-1", "user-K0"])
 def test_sample_z_matches_dense_reference(make_spec):
     # sigma n^-beta L xi + tau F xi_noise with dense products, from the
     # same replicate stream: the fast sampler moves draws only by rounding
@@ -88,6 +91,83 @@ def test_sample_z_matches_dense_reference(make_spec):
     expect = spec.sigma * float(spec.n) ** (-spec.beta) * (factor @ xi) + y
     got = sf.sample_z(spec, 31, 4)
     assert np.abs(got - expect).max() <= 1e-11 * np.abs(got).max()
+
+
+def dense_factor_panel(spec, seed, reps):
+    """The panel of ``_sample_each`` through the dense factor, for any
+    Cov(x): dpotrf of Cov(x), then one dtrmm with the panel of the same
+    Philox draws."""
+    from scipy.linalg.blas import dtrmm
+    from scipy.linalg.lapack import dpotrf
+    factor, info = dpotrf(spec.cov_x(), lower=1, clean=1)
+    assert info == 0
+    xi = np.zeros((spec.n, sf.linalg.PANEL), order="F")
+    xi_noise = np.empty((len(reps), spec.n))
+    for j, rep in enumerate(reps):
+        rng = sf.montecarlo._rep_rng(seed, rep)
+        xi[:, j] = rng.standard_normal(spec.n)
+        xi_noise[j] = rng.standard_normal(spec.n)
+    y = sf.linalg._difference_noise(xi_noise, spec.K, spec.noise_convention)
+    z = spec.sigma * float(spec.n) ** (-spec.beta) * dtrmm(1.0, factor, xi, lower=1)
+    z[:, :len(reps)] += spec.tau * y.T
+    return z
+
+
+@pytest.mark.parametrize("make_spec", [
+    *(lambda n=n: sf.fbm_wn_spec(n, 0.5) for n in (1, 2, 64, 513)),
+    lambda: sf.fbm_wn_spec(64, 0.5, sigma=1.7, tau=0.3),
+    lambda: replace(sf.fbm_wn_spec(64, 0.5, sigma=1.7, tau=0.3), noise_convention="deltaT_delta"),
+    lambda: sf.user_spec(64, 0.2, 1.0, 1.0, 2, [2.0], 0.1, sf.SlowlyVaryingSpec("constant", 0.0)),
+], ids=["fbm-wn-1", "fbm-wn-2", "fbm-wn-64", "fbm-wn-513", "fbm-wn-scaled",
+        "fbm-wn-scaled-deltaT_delta", "user-K2-gamma0-2"])
+def test_white_signal_has_the_bits_of_its_cholesky_factor(make_spec):
+    # a diagonal Cov(x) = gamma_0 I is drawn as sqrt(gamma_0) xi, which is
+    # what dtrmm with its Cholesky factor sqrt(gamma_0) I computes: the
+    # scaled panel must keep those bits, with 1 and with PANEL live columns
+    spec = make_spec()
+    factor = sf.montecarlo._signal_chol(spec)
+    assert isinstance(factor, float) and factor == np.sqrt(spec.gamma(0))
+    for live in (1, sf.linalg.PANEL):
+        reps = range(3, 3 + live)
+        assert np.array_equal(sf.montecarlo._sample_each(spec, 5, reps),
+                              dense_factor_panel(spec, 5, reps)), live
+    assert np.array_equal(sf.sample_z(spec, 5, 3), dense_factor_panel(spec, 5, range(3, 4))[:, 0])
+
+
+def test_white_sampler_builds_no_dense_factor(monkeypatch):
+    # a white signal needs no n x n covariance, Cholesky factor or trmm
+    calls = []
+    cov_x, wrappers = sf.ModelSpec.cov_x, sf.montecarlo._scipy_wrappers
+
+    class Counting:
+        def __init__(self, module):
+            self.module = module
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.module, name)
+
+    monkeypatch.setattr(sf.ModelSpec, "cov_x",
+                        lambda spec: (calls.append("cov_x"), cov_x(spec))[1])
+    monkeypatch.setattr(sf.montecarlo, "_scipy_wrappers", lambda name: Counting(wrappers(name)))
+    sf.montecarlo._signal_chol.cache_clear()
+    sf.sample_z(sf.fbm_wn_spec(2048, 0.5), 1)
+    sf.sample_z(sf.fbm_wn_spec(2048, 0.5), 2)
+    assert calls == []
+    # the control: a correlated signal takes the dense factor once per spec
+    # and one trmm per draw
+    sf.sample_z(sf.fbm_wn_spec(64, 0.3), 1)
+    sf.sample_z(sf.fbm_wn_spec(64, 0.3), 2)
+    assert sorted(calls) == ["cov_x", "dpotrf", "dtrmm", "dtrmm"]
+
+
+@pytest.mark.parametrize("gamma0", [0.0, -1.0])
+def test_white_signal_needs_positive_variance(gamma0):
+    # Cov(x) = gamma_0 I with gamma_0 <= 0 has no factor, as dpotrf says of it
+    spec = sf.user_spec(16, beta=0.2, sigma=1.0, tau=1.0, K=0, gamma_values=[gamma0],
+                        alpha=-0.1, ell=sf.SlowlyVaryingSpec("constant", 0.0))
+    with pytest.raises(sf.NotPositiveDefiniteError, match="signal covariance"):
+        sf.sample_z(spec, 0)
 
 
 @pytest.mark.parametrize("convention", ["delta_deltaT", "deltaT_delta"])
@@ -123,6 +203,24 @@ def test_sample_z_rejects_negative_rep_index():
         sf.sample_z(spec, 3, -1)
     with pytest.raises(sf.DomainError, match="rep_index"):
         sf.sample_z(spec, 3, 2 ** 64)
+
+
+def test_seed_is_an_integer_of_any_kind(monkeypatch):
+    # numpy integers raised OverflowError in the Philox key, and a float or
+    # None a bare TypeError, in run_study only after the whitening
+    spec = sf.fbm_wn_spec(64, 0.5)
+    z = sf.sample_z(spec, 3)
+    for seed in (np.int64(3), np.int32(3), np.uint64(3)):
+        assert np.array_equal(sf.sample_z(spec, seed), z), type(seed)
+    # a negative seed is taken modulo 2^64
+    assert np.array_equal(sf.sample_z(spec, -1), sf.sample_z(spec, 2 ** 64 - 1))
+    monkeypatch.setattr(sf.montecarlo, "whitened_system",
+                        lambda spec: pytest.fail("whitened before the check"))
+    for seed in (1.5, None, True, "3"):
+        with pytest.raises(sf.DomainError, match="seed"):
+            sf.sample_z(spec, seed)
+        with pytest.raises(sf.DomainError, match="seed"):
+            sf.run_study(spec, 4, seed)
 
 
 def test_run_study_deterministic():
@@ -294,3 +392,7 @@ def test_study_json():
     # the standard error of I * MSE follows it, as its own float
     assert list(parsed)[list(parsed).index("normalized") + 1] == "normalized_se"
     assert parsed["normalized_se"] == study.normalized_se
+    # numpy integer counts are valid, and are written as JSON numbers
+    spec = sf.fbm_wn_spec(64, 0.5, tau=0.25)
+    assert sf.run_study(spec, np.int64(4), np.int64(3)).to_json() == \
+        sf.run_study(spec, 4, 3).to_json()
