@@ -12,8 +12,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._quad import QuadratureError, panel_integrate
-from .linalg import diff_cov, whiten, WhitenedSystem
-from .model import DomainError, ModelSpec, with_n
+from .linalg import (WhitenedSystem, _cosine_system, _unit_difference_width, diff_cov,
+                     whiten)
+from .model import MAX_DENSE_N, DomainError, ModelSpec, with_n
 
 REGIME_SUB = "subcritical"
 REGIME_CRITICAL = "critical"
@@ -42,16 +43,37 @@ def information_sum(u: float, lam: np.ndarray, n: int, beta: float) -> float:
     return 0.5 * float(np.sum((w / (u * w + 1.0)) ** 2))
 
 
+def _white_variance(spec: ModelSpec) -> float | None:
+    """gamma_0 when Cov(x) = gamma_0 I exactly, else None: lags 1 .. n-1 of
+    the Toeplitz Cov(x) are all 0, read from the n autocovariances with no
+    n x n array.  The integrated kind's first row is not Toeplitz, and
+    beyond MAX_DENSE_N ``cov_x`` refuses the spec, so both give None."""
+    if spec.n > MAX_DENSE_N or spec.x_cov.kind == "integrated_fbm_increment":
+        return None
+    gamma = np.asarray_chkfinite(spec.gamma_array(spec.n - 1))
+    return None if gamma[1:].any() else float(gamma[0])
+
+
 @lru_cache(maxsize=1)
 def whitened_system(spec: ModelSpec) -> WhitenedSystem:
-    """Whitening of (Cov(x), Cov(y)) for a model spec.  Only the last spec's
-    two n x n arrays are cached: callers work through one spec at a time.
-    ``whiten`` takes the noise factor in closed form for K = 0, and for
-    K = 1 under D D^t, at tau = 1; every other spec factorises the noise
-    covariance by dense Cholesky."""
-    cov_x = spec.cov_x()
+    """Whitening of (Cov(x), Cov(y)) for a model spec; only the last spec's
+    system is cached, since callers work through one spec at a time.
+
+    A white signal under the noise I or D D^t (K = 0, or K = 1 under D D^t,
+    at tau = 1) is whitened in closed form by the cosine basis, from gamma_0
+    and the band of Cov(y) alone: the system holds O(n) numbers, and
+    ``transform`` is an FFT.  Any other spec is whitened densely by
+    ``whiten``, and its system holds two n x n arrays once ``basis`` is
+    read.  Cov(y) is built on both routes: the closed form is taken only
+    when it is exactly I or D D^t."""
+    gamma0 = _white_variance(spec)
+    if gamma0 is None:
+        return whiten(spec.cov_x(), diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention))
     cov_y = diff_cov(spec.n, spec.K, spec.tau, spec.noise_convention)
-    return whiten(cov_x, cov_y)
+    kd = _unit_difference_width(cov_y)
+    if kd is None:
+        return whiten(spec.cov_x(), cov_y)
+    return _cosine_system(gamma0, spec.n, kd)
 
 
 def fisher_exact(spec: ModelSpec) -> float:

@@ -2,7 +2,8 @@
 from and drawn through their integer factor (applied as running
 differences), the dense half-shifted cosine basis that diagonalizes them
 exactly, and the whitening transform behind the eigenvalue form of the
-Fisher information.
+Fisher information.  A white signal under the noise I or D D^t is whitened
+in closed form by that basis, its data map applied by FFT.
 
 The LAPACK and BLAS routines are scipy's compiled f2py wrappers, the
 ``scipy.linalg._flapack`` and ``_fblas`` extension modules that
@@ -25,7 +26,7 @@ from types import ModuleType
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError
+from .model import CONVENTIONS, DELTA_DELTAT, DELTAT_DELTA, DomainError, noise_symbol
 
 NEG_EIG_TOL = 1e-8
 # columns of every BLAS-3 panel.  OpenBLAS gives a column of a width-8 panel
@@ -155,12 +156,26 @@ def dct_basis(n: int) -> np.ndarray:
     """Orthonormal symmetric cosine basis C_ij = 2/sqrt(2n+1) cos((i-1/2) u_j).
 
     C diagonalizes D D^t exactly; the row-reversed basis E C diagonalizes
-    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  Read-only; an oracle
-    for the difference covariances, which no route computes through it.
-    """
-    u = dct_nodes(n)
-    i = np.arange(1, n + 1)[:, None]
-    basis = 2.0 / np.sqrt(2.0 * n + 1.0) * np.cos((i - 0.5) * u[None, :])
+    D^t D, both with eigenvalues 4 sin^2(u_i / 2).  The angle
+    pi (2i - 1)(2j - 1) / (4n + 2) is reduced modulo 2 pi in integers, so
+    every entry is correct to rounding at any n.  Read-only."""
+    odd = 2 * np.arange(1, n + 1, dtype=np.int64) - 1
+    turn = 8 * n + 4    # 2 pi in units of pi / (4n + 2)
+    basis = 2.0 / np.sqrt(2.0 * n + 1.0) * np.cos(
+        np.pi / (4 * n + 2) * (np.outer(odd, odd) % turn))
+    basis.flags.writeable = False
+    return basis
+
+
+def _sine_basis(n: int) -> np.ndarray:
+    """Orthonormal basis S_ij = 2/sqrt(2n+1) sin(i u_j), which is
+    D^t C diag(4 sin^2(u_j / 2))^(-1/2) in closed form: the eigenbasis of
+    D^t D in the order of ``dct_nodes``.  The angle is reduced modulo 2 pi
+    in integers, as in ``dct_basis``.  Read-only."""
+    i = np.arange(1, n + 1, dtype=np.int64)
+    turn = 4 * n + 2    # 2 pi in units of pi / (2n + 1)
+    basis = 2.0 / np.sqrt(2.0 * n + 1.0) * np.sin(
+        np.pi / (2 * n + 1) * (np.outer(i, 2 * i - 1) % turn))
     basis.flags.writeable = False
     return basis
 
@@ -213,7 +228,9 @@ class WhitenedSystem:
     tridiagonal form that gave ``lam`` is kept until ``basis`` is first read,
     which computes D once from it (under a lock, so threads that read it
     together build it once) and then drops the tridiagonal form.  The exact
-    Fisher information reads only ``lam`` and never pays for D."""
+    Fisher information reads only ``lam`` and never pays for D.  A white
+    signal under the noise I or D D^t has the closed-form subclass
+    ``_CosineSystem``, which holds no n x n array until ``basis`` is read."""
     a_band: np.ndarray
     lam: np.ndarray
     _tridiagonal: tuple | None = field(repr=False)    # (refl, tau, d, e) from dsytrd
@@ -230,14 +247,16 @@ class WhitenedSystem:
         if self._basis is None:
             with self._lock:
                 if self._basis is None:
-                    object.__setattr__(self, "_basis",
-                                       _tridiagonal_eigenvectors(*self._tridiagonal))
+                    object.__setattr__(self, "_basis", self._eigenvectors())
                     object.__setattr__(self, "_tridiagonal", None)
         return self._basis
 
+    def _eigenvectors(self) -> np.ndarray:
+        return _tridiagonal_eigenvectors(*self._tridiagonal)
+
     def transform(self, z: np.ndarray) -> np.ndarray:
-        """(A^-1 D)^t z via a triangular solve; no explicit inverse.  A
-        matrix has each column transformed.  The columns go through
+        """(A^-1 D)^t z, with no explicit inverse.  A matrix has each column
+        transformed.  The columns go through
         ``_transform_each`` PANEL at a time, a vector as the one live column
         of its panel, so a column's result does not depend on its
         neighbours."""
@@ -262,6 +281,73 @@ class WhitenedSystem:
         and the solve cannot fail; non-finite data give non-finite output."""
         w = _scipy_wrappers("_flapack").dtbtrs(self.a_band, panel, uplo="U", trans="T")[0]
         return _scipy_wrappers("_fblas").dgemm(1.0, self.basis.T, w)
+
+
+@dataclass(frozen=True, eq=False)
+class _CosineSystem(WhitenedSystem):
+    """The system of a white signal, Cov(x) = gamma_0 I, under the noise
+    Cov(y) = I (kd = 0) or D D^t (kd = 1), whose factor A is I or D^t.
+
+    M = gamma_0 (A A^t)^-1 is gamma_0 I or gamma_0 (D^t D)^-1, diagonalised
+    exactly by the cosine basis C: lam_j = gamma_0 / s_j^kd with
+    s_j = 4 sin^2(u_j / 2), u = ``dct_nodes``, descending as s ascends.  The
+    eigenbasis is A C diag(s^(-kd/2)): C itself, or the sine basis S.  So
+    the data map (A^-1 D)^t z is diag(s^(-kd/2)) C^t z, with no solve.
+
+    C^t v is the sum of v_k cos(pi p q / (4n + 2)) over the odd p = 2k + 1,
+    at q = 2j + 1.  Since 2 p q = p^2 + q^2 - (q - p)^2, it is a chirp
+    times the convolution of the chirped v with a chirp kernel (the chirp-z
+    form of a DFT): two FFTs of a power of two L >= 2n - 1, one each way,
+    whereas the DFT of length 2n + 1 it stands for has that length's prime
+    factors (4097 = 17 * 241 at n = 2048).  ``_chirp`` holds the n input
+    weights, ``_kernel`` the kernel's L-point FFT over L, ``_post`` the n
+    output weights with the scaling folded in.  Each column of a panel is
+    transformed alone, so its bits do not depend on its position or its
+    neighbours."""
+    _chirp: np.ndarray = field(default=None, repr=False)
+    _kernel: np.ndarray = field(default=None, repr=False)
+    _post: np.ndarray = field(default=None, repr=False)
+
+    def _eigenvectors(self) -> np.ndarray:
+        return _sine_basis(self.n) if self.a_band.shape[0] == 2 else dct_basis(self.n)
+
+    def _transform_each(self, panel: np.ndarray) -> np.ndarray:
+        """diag(s^(-kd/2)) C^t of each column of an n x PANEL panel: one
+        numpy FFT each way over the panel's columns, as the rows of its
+        transpose, and O(n) weights.  The inverse FFT runs in place, which
+        halves its time: a fresh output is a fresh page-faulted buffer."""
+        x = np.fft.fft(panel.T * self._chirp, self._kernel.size, axis=1)
+        x *= self._kernel
+        np.fft.ifft(x, axis=1, norm="forward", out=x)
+        return (x[:, :self.n] * self._post).real.T
+
+
+def _cosine_system(gamma0: float, n: int, kd: int) -> WhitenedSystem:
+    """``_CosineSystem`` of Cov(x) = gamma0 I against Cov(y) = I (kd = 0)
+    or D D^t (kd = 1): lam, the band of A and the O(n) FFT weights, with no
+    n x n array.  ``whiten`` gives the same system to rounding."""
+    u = dct_nodes(n)
+    lam = gamma0 / noise_symbol(u, kd, 1.0)
+    size = 2 * n + 1
+    p = 2 * np.arange(n, dtype=np.int64) + 1
+    # exp(-i pi p^2 / (4 size)) and exp(i pi m^2 / size), angles reduced in integers
+    chirp = np.exp(-1j * np.pi / (4 * size) * (p * p % (8 * size)))
+    m = np.arange(n, dtype=np.int64)
+    half = np.exp(1j * np.pi / size * (m * m % (2 * size)))
+    # the kernel's lags run over -(n - 1) .. n - 1, so a circular convolution
+    # of the smallest power of two >= 2n - 1 points is exact on outputs 0 .. n - 1
+    length = 1 << (2 * n - 2).bit_length()
+    kernel = np.zeros(length, dtype=complex)
+    kernel[:n] = half
+    kernel[length - n + 1:] = half[:0:-1]     # the negative lags, wrapped
+    kernel = np.fft.fft(kernel) / length
+    # 2 / sqrt(size) of C, times s^(-1/2) = 1 / (2 sin(u / 2)) for kd = 1
+    scale = 1.0 / (np.sqrt(size) * np.sin(u / 2.0)) if kd else np.full(n, 2.0 / np.sqrt(size))
+    a_band, post = _unit_band(n, kd), scale * chirp
+    for arr in (a_band, chirp, kernel, post):
+        arr.flags.writeable = False
+    return _CosineSystem(a_band=a_band, lam=_checked_lam(lam), _tridiagonal=None,
+                         _chirp=chirp, _kernel=kernel, _post=post)
 
 
 def _unit_difference_width(cov_y: np.ndarray) -> int | None:
@@ -295,17 +381,23 @@ def _running_sum_reduction(cov_x: np.ndarray, kd: int) -> tuple[np.ndarray, np.n
     place rather than by a strided cumsum down axis 0; M is the one new
     n x n array."""
     n = cov_x.shape[0]
-    a_band = np.zeros((kd + 1, n), order="F")
-    a_band[kd] = 1.0
     m = np.empty((n, n))
     if kd == 0:
         m[...] = cov_x
     else:
-        a_band[0, 1:] = -1.0
         np.cumsum(cov_x, axis=1, out=m)
         for i in range(1, n):
             np.add(m[i - 1], m[i], out=m[i])
-    return a_band, m
+    return _unit_band(n, kd), m
+
+
+def _unit_band(n: int, kd: int) -> np.ndarray:
+    """Band storage of A = I (kd = 0) or A = D^t (kd = 1)."""
+    a_band = np.zeros((kd + 1, n), order="F")
+    a_band[kd] = 1.0
+    if kd:
+        a_band[0, 1:] = -1.0
+    return a_band
 
 
 def _cholesky_reduction(cov_x: np.ndarray, cov_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,6 +478,15 @@ def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
         # keep only the reflectors, where ormqr reads them, so the first read
         # of basis holds no second copy of the reduced matrix
         tridiagonal, basis = (_reflector_block(c), tau, d, e), None
+    a_band.flags.writeable = False
+    return WhitenedSystem(a_band=a_band, lam=_checked_lam(lam), _tridiagonal=tridiagonal,
+                          _basis=basis)
+
+
+def _checked_lam(lam: np.ndarray) -> np.ndarray:
+    """The descending eigenvalues lam, clipped at 0 in place and made
+    read-only; NotPositiveDefiniteError if lam_1 < 0, or if the least is
+    below -NEG_EIG_TOL * lam_1."""
     if lam[0] < 0:
         raise NotPositiveDefiniteError("whitened signal covariance is negative definite")
     if lam[-1] < -NEG_EIG_TOL * max(lam[0], 0.0):
@@ -393,9 +494,8 @@ def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
             f"whitened signal covariance has eigenvalue {lam[-1]:.3e} below "
             f"-{NEG_EIG_TOL:g} * lambda_1")
     np.clip(lam, 0.0, None, out=lam)
-    for arr in (a_band, lam):
-        arr.flags.writeable = False
-    return WhitenedSystem(a_band=a_band, lam=lam, _tridiagonal=tridiagonal, _basis=basis)
+    lam.flags.writeable = False
+    return lam
 
 
 def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
@@ -410,7 +510,9 @@ def whiten(cov_x: np.ndarray, cov_y: np.ndarray) -> WhitenedSystem:
     factorised densely by Cholesky, and M comes from two banded solves with
     the factor's band.  Both routes give the same bits where both apply.
     Counting the two inputs, whitening peaks at three n x n arrays on the
-    closed-form route and four on the Cholesky route."""
+    closed-form route and four on the Cholesky route.  For a white signal
+    under the noise I or D D^t this is the dense reference of the system
+    ``fisher.whitened_system`` builds in closed form."""
     cov_x = np.asarray(cov_x, dtype=float)
     cov_y = np.asarray(cov_y, dtype=float)
     kd = _unit_difference_width(cov_y)

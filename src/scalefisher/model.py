@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
@@ -31,7 +30,8 @@ LATTICE_TERMS = 16
 # largest n of the dense routes (exact Fisher, estimation, sampling).
 # Whitening peaks at three n x n float64 arrays (1.5 GiB at the limit) for
 # K = 0 and for K = 1 under D D^t at tau = 1, and at four (2 GiB) for the
-# rest, measured by tracemalloc at n = 1024 (tests/test_linalg.py)
+# rest, measured by tracemalloc at n = 1024 (tests/test_linalg.py); a white
+# signal under that unit noise peaks at one, the noise covariance
 MAX_DENSE_N = 8192
 
 DELTA_DELTAT = "delta_deltaT"   # Cov(y) = tau^2 (D D^t)^K
@@ -378,8 +378,11 @@ class ModelSpec:
 
     @property
     def is_critical(self) -> bool:
-        """diamond == 4 decided in exact rational arithmetic on (K, alpha)."""
-        return Fraction(self.K) - Fraction(self.alpha) == Fraction(1, 4)
+        """diamond == 4 decided exactly on (K, alpha), in integers: alpha is
+        the binary fraction p / q that ``as_integer_ratio`` gives, so
+        K - alpha = 1/4 exactly when 4 (K q - p) = q."""
+        p, q = float(self.alpha).as_integer_ratio()
+        return 4 * (self.K * q - p) == q
 
     # -- autocovariance ----------------------------------------------------
 

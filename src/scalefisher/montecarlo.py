@@ -11,15 +11,17 @@ one code path, and a column's bits do not depend on its position or its
 neighbours.  Replicate streams are counter-based (Philox keyed by (seed,
 replicate)), so a replicate's draw is bit-identical whether generated alone
 or in a different batch.  Studies run replicates panel by panel in one
-thread, one stage at a time across the panel, so each n x n array is read
-once per panel rather than once per replicate, and every estimate equals
-that of ``sample_z`` + ``estimate``.
+thread, one stage at a time across the panel, so each n x n array (the
+signal's Cholesky factor, the eigenbasis of a dense whitening) is read once
+per panel rather than once per replicate, and every estimate equals that
+of ``sample_z`` + ``estimate``.  A white signal under the noise I or D D^t
+has none: it is drawn by scaling and whitened by FFT.
 
 The Cholesky factorisation and the BLAS product are scipy's compiled
 wrappers, loaded on first use by ``linalg._scipy_wrappers`` without
 importing the ``scipy.linalg`` package, so that importing this package, the
-spectral and closed-form routes, and drawing a white signal load no
-scipy."""
+spectral and closed-form routes, drawing a white signal and studying one
+under the noise I or D D^t load no scipy."""
 
 from __future__ import annotations
 
@@ -30,10 +32,10 @@ from functools import lru_cache
 import numpy as np
 
 from .estimator import EstimateResult, _estimate_from_squares, _weighted_sum, make_split
-from .fisher import fisher_exact, information_weights, whitened_system
+from .fisher import _white_variance, fisher_exact, information_weights, whitened_system
 from .linalg import (PANEL, NotPositiveDefiniteError, _difference_noise, _panel_ranges,
                      _scipy_wrappers)
-from .model import MAX_DENSE_N, DomainError, ModelSpec, is_integer
+from .model import DomainError, ModelSpec, is_integer
 
 ESTIMATORS = ("oracle", "efficient")
 
@@ -41,21 +43,17 @@ ESTIMATORS = ("oracle", "efficient")
 @lru_cache(maxsize=1)
 def _signal_chol(spec: ModelSpec) -> float | np.ndarray:
     """The factor L of Cov(x) = L L^t that draws the signal, decided once
-    per spec.  When lags 1 .. n-1 of the Toeplitz Cov(x) are all exactly 0,
-    L is the scalar sqrt(gamma_0), read from the n autocovariances with no
-    n x n array (``dtrmm`` with sqrt(gamma_0) I has the same bits).  The
-    integrated kind's first row is not Toeplitz, and beyond MAX_DENSE_N
-    ``cov_x`` refuses the spec, so both take the dense route.  Otherwise L
-    is the lower Cholesky factor, Fortran-ordered (as potrf returns it) so
-    that ``dtrmm`` reads it in place.  Read-only, because the factor is
-    shared through the cache, which keeps only the last spec's: callers
-    sample one spec at a time."""
-    if spec.n <= MAX_DENSE_N and spec.x_cov.kind != "integrated_fbm_increment":
-        gamma = np.asarray_chkfinite(spec.gamma_array(spec.n - 1))
-        if not gamma[1:].any():
-            if not gamma[0] > 0:
-                raise NotPositiveDefiniteError("signal covariance is not positive definite")
-            return float(np.sqrt(gamma[0]))
+    per spec.  For a white signal, Cov(x) = gamma_0 I (``_white_variance``),
+    L is the scalar sqrt(gamma_0), with no n x n array (``dtrmm`` with
+    sqrt(gamma_0) I has the same bits).  Otherwise L is the lower Cholesky
+    factor, Fortran-ordered (as potrf returns it) so that ``dtrmm`` reads it
+    in place.  Read-only, because the factor is shared through the cache,
+    which keeps only the last spec's: callers sample one spec at a time."""
+    gamma0 = _white_variance(spec)
+    if gamma0 is not None:
+        if not gamma0 > 0:
+            raise NotPositiveDefiniteError("signal covariance is not positive definite")
+        return float(np.sqrt(gamma0))
     factor, info = _scipy_wrappers("_flapack").dpotrf(np.asarray_chkfinite(spec.cov_x()),
                                                       lower=1, clean=1)
     if info > 0:
@@ -172,9 +170,11 @@ def run_study(spec: ModelSpec, reps: int, seed: int, estimator: str = "efficient
 
     Replicates run in one thread, in consecutive panels of at most
     ``linalg.PANEL``, stage by stage (draws, one signal scaling or trmm,
-    the noise's running differences, one whitening solve, one eigenbasis
-    gemm, then the estimator on each column), so each n x n array is read
-    once per panel rather than once per replicate.  ``sample_z`` and
+    the noise's running differences, the panel's data map, then the
+    estimator on each column), so each n x n array is read once per panel
+    rather than once per replicate.  The data map is one whitening solve
+    and one eigenbasis gemm, or for a white signal under the noise I or
+    D D^t one FFT each way.  ``sample_z`` and
     ``estimate`` (or ``oracle_estimate``) make the same panel calls with
     one live column, and a column's bits do not depend on its position or
     neighbours, so each estimate is bit-identical to theirs for any panel

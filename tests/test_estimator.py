@@ -213,8 +213,9 @@ def test_estimate_deterministic():
 def test_eigenbasis_built_once_under_racing_readers(monkeypatch):
     # threads that call estimate on the shared cached system race to the
     # first read of its eigenbasis, which the system's lock builds once; each
-    # result equals a serial estimate of the same draw
-    spec = sf.fbm_wn_spec(512, 0.5)
+    # result equals a serial estimate of the same draw.  H = 0.3: a white
+    # signal (H = 0.5) is whitened in closed form, with no eigenbasis to build
+    spec = sf.fbm_wn_spec(512, 0.3)
     sf.whitened_system.cache_clear()
     sf.whitened_system(spec)
     calls = []

@@ -6,6 +6,7 @@ import math
 import warnings
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ def test_exact_integrated_preset_matches_high_precision_oracle():
     # about n^4, which the whitening route loses to rounding
     spec = sf.integrated_fbm_spec(64, 0.1)
     assert sf.fisher_exact(spec) == pytest.approx(0.43164739668166273781, rel=2e-10)
+
+
+# the seed references of the benchmark's fisher_exact checks
+DENSE_REFS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text())["dense"]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+def test_exact_white_route_matches_references(n):
+    # at H = 1/2 the whitening is the closed-form cosine route; it must
+    # meet the values the dense route gave
+    sf.whitened_system.cache_clear()
+    got = sf.fisher_exact(sf.fbm_wn_spec(n, 0.5))
+    assert isinstance(sf.whitened_system(sf.fbm_wn_spec(n, 0.5)), sf.linalg._CosineSystem)
+    assert abs(got / DENSE_REFS[f"fbm-wn:n={n}:H=0.50"] - 1.0) <= 1e-13
 
 
 def test_exact_scaling_law():

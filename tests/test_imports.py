@@ -1,7 +1,8 @@
 """Start-up: the spectral and closed-form routes, the CLI commands built on
-them and the draws of a white signal run without loading scipy or a thread
-pool; the dense LAPACK routes load scipy's compiled LAPACK and BLAS wrappers
-without importing the scipy.linalg package."""
+them, the draws of a white signal, and its exact Fisher information,
+estimates and studies under the noise I or D D^t run without loading scipy
+or a thread pool; the dense LAPACK routes load scipy's compiled LAPACK and
+BLAS wrappers without importing the scipy.linalg package."""
 
 import json
 import os
@@ -25,6 +26,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import scalefisher as sf
 import scalefisher.cli
+
+# is_critical decides diamond = 4 in integers, with no Fraction
+startup = [m for m in ("fractions", "decimal") if m in sys.modules]
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -52,6 +56,18 @@ codes = [cli("fisher", *fbm, "--n", "512", "--method", "integral"),
 # a white signal is drawn by scaling, with no factorisation or BLAS product
 sf.sample_z(sf.fbm_wn_spec(512, 0.5), 1)
 spectral = scipy_modules()
+# and at tau = 1 it is whitened by FFT, with no LAPACK or BLAS; n = 256 has
+# the information the sample split needs at tau = 1
+white = ["--preset", "fbm-wn", "--H", "0.5", "--n", "256"]
+sf.fisher_exact(sf.fbm_wn_spec(256, 0.5))
+with tempfile.TemporaryDirectory() as tmp:
+    data = os.path.join(tmp, "z.txt")
+    with open(data, "w") as out:
+        out.writelines(f"{v!r}\\n" for v in sf.sample_z(sf.fbm_wn_spec(256, 0.5), 3).tolist())
+    white_codes = [cli("fisher", *white, "--method", "exact"),
+                   cli("estimate", *white, "--input", data),
+                   cli("mc-study", *white, "--seed", "7", "--reps", "8")]
+white_loaded = scipy_modules()
 sf.fisher_exact(sf.fbm_wn_spec(64, 0.3))
 exact = scipy_modules()
 # tau = 0.25 puts enough information in n = 64 for the sample split
@@ -64,8 +80,9 @@ with tempfile.TemporaryDirectory() as tmp:
     dense_codes += [cli("estimate", *dense, "--input", data),
                     cli("mc-study", *dense, "--seed", "7", "--reps", "8")]
 print(json.dumps({"codes": codes, "spectral": spectral, "exact": exact,
+                  "white_codes": white_codes, "white": white_loaded,
                   "dense_codes": dense_codes, "dense": scipy_modules(),
-                  "unloaded": loaded(UNLOADED)}))
+                  "unloaded": loaded(UNLOADED), "startup": startup}))
 """
 
 # routines the dense routes call, by the scipy.linalg module that re-exports them
@@ -94,8 +111,9 @@ if scipy_first:
 
 def run():
     spec = sf.fbm_wn_spec(64, 0.5, tau=0.25)
-    # H = 0.3, since a white signal (H = 0.5) is drawn without dpotrf and dtrmm
-    return [sf.fisher_exact(sf.fbm_wn_spec(64, 0.5)),
+    # H = 0.3, since a white signal (H = 0.5) is drawn without dpotrf and
+    # dtrmm, and at tau = 1 whitened without dsytrd
+    return [sf.fisher_exact(sf.fbm_wn_spec(64, 0.3)),
             sf.estimate(sf.sample_z(spec, 1), spec).to_dict(),
             sf.sample_z(sf.fbm_wn_spec(64, 0.3), 1).tolist()]
 
@@ -130,6 +148,10 @@ def test_spectral_routes_do_not_load_scipy():
     got = _probe(f"UNLOADED = {UNLOADED!r}\n" + PROBE)
     assert got["codes"] == [0, 0, 0]
     assert got["spectral"] == []
+    assert got["startup"] == []
+    # fisher --method exact, estimate and mc-study on a white signal at tau = 1
+    assert got["white_codes"] == [0, 0, 0]
+    assert got["white"] == []
     # the control: the exact route needs LAPACK, and loads scipy's compiled
     # wrappers on first use, but not the scipy.linalg package
     assert "scipy.linalg._flapack" in got["exact"]

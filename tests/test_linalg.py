@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 import scalefisher as sf
+from scalefisher.fisher import information_sum
 from scalefisher.model import integrated_fbm_boundary_cov, noise_symbol
 
 
@@ -271,36 +272,104 @@ USER_K0 = sf.user_spec(64, beta=0.25, sigma=1.0, tau=1.0, K=0, gamma_values=(2.0
                        alpha=-0.2, ell=sf.SlowlyVaryingSpec("constant", 0.5))
 
 
-@pytest.mark.parametrize("spec, closed", [
-    (sf.fbm_wn_spec(64, 0.3), True),
-    (USER_K0, True),
-    (sf.integrated_fbm_spec(64, 0.1), False),
-    (replace(sf.fbm_wn_spec(64, 0.3), noise_convention="deltaT_delta"), False),
-    (sf.fbm_wn_spec(64, 0.3, tau=0.9), False),
-    (replace(USER_K0, tau=0.9), False),
-], ids=["fbm-wn", "user-K0", "integrated-fbm", "fbm-wn-DtD", "fbm-wn-tau", "user-K0-tau"])
-def test_whitened_system_takes_closed_form_factor_for_unit_noise(spec, closed, monkeypatch):
+def white_spec(n, K, gamma0=1.3):
+    """Cov(x) = gamma0 I: a user sequence with no lags beyond gamma_0."""
+    return sf.user_spec(n, beta=0.05, sigma=1.0, tau=1.0, K=K, gamma_values=[gamma0],
+                        alpha=-0.1, ell=sf.SlowlyVaryingSpec("constant", 0.0))
+
+
+@pytest.mark.parametrize("spec, route", [
+    (sf.fbm_wn_spec(64, 0.3), "_running_sum_reduction"),
+    (USER_K0, "_running_sum_reduction"),
+    (sf.integrated_fbm_spec(64, 0.1), "_cholesky_reduction"),
+    (replace(sf.fbm_wn_spec(64, 0.3), noise_convention="deltaT_delta"), "_cholesky_reduction"),
+    (sf.fbm_wn_spec(64, 0.3, tau=0.9), "_cholesky_reduction"),
+    (replace(USER_K0, tau=0.9), "_cholesky_reduction"),
+    (sf.fbm_wn_spec(64, 0.5), "cosine"),
+    (white_spec(64, 0), "cosine"),
+    (sf.fbm_wn_spec(1, 0.3), "cosine"),
+    (replace(sf.fbm_wn_spec(64, 0.5), noise_convention="deltaT_delta"), "_cholesky_reduction"),
+    (sf.fbm_wn_spec(64, 0.5, tau=0.9), "_cholesky_reduction"),
+    (white_spec(64, 2), "_cholesky_reduction"),
+], ids=["fbm-wn", "user-K0", "integrated-fbm", "fbm-wn-DtD", "fbm-wn-tau", "user-K0-tau",
+        "white-fbm-wn", "white-K0", "fbm-wn-1", "white-fbm-wn-DtD", "white-fbm-wn-tau",
+        "white-K2"])
+def test_whitened_system_takes_closed_form_factor_for_unit_noise(spec, route, monkeypatch):
     # K = 0, and K = 1 under D D^t, at tau = 1 skip the Cholesky; scaled
     # noise, D^t D and K = 2 keep it, since their rounded factor is not the
-    # closed form to the bit
+    # closed form to the bit.  A white signal (H = 1/2, or n = 1) under the
+    # unit noise skips the whole dense reduction: the cosine basis
+    # diagonalises its pencil; under any other noise it keeps its route
     routes = []
     for name in ("_running_sum_reduction", "_cholesky_reduction"):
         build = getattr(sf.linalg, name)
         monkeypatch.setattr(sf.linalg, name,
                             lambda *args, build=build, name=name: routes.append(name) or build(*args))
     sf.whitened_system.cache_clear()
-    sf.whitened_system(spec)
-    assert routes == ["_running_sum_reduction" if closed else "_cholesky_reduction"]
+    system = sf.whitened_system(spec)
+    cosine = isinstance(system, sf.linalg._CosineSystem)
+    assert (["cosine"] if cosine else routes) == [route]
+    assert not (cosine and routes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257, 2048])
+@pytest.mark.parametrize("K", [0, 1])
+def test_cosine_system_matches_dense_whitening(n, K):
+    # the closed-form system of a white signal against whiten() on the
+    # dense Cov(x) = gamma_0 I and Cov(y) = I or D D^t
+    spec = sf.fbm_wn_spec(n, 0.5) if K else white_spec(n, 0)
+    sf.whitened_system.cache_clear()
+    system = sf.whitened_system(spec)
+    assert isinstance(system, sf.linalg._CosineSystem)
+    cov_x = spec.cov_x()
+    cov_y = sf.diff_cov(n, spec.K, spec.tau, spec.noise_convention)
+    dense = sf.whiten(cov_x, cov_y)
+    assert np.array_equal(system.a_band, dense.a_band)
+    assert np.abs(system.lam - dense.lam).max() <= 1e-14 * dense.lam[0]
+    assert np.all(np.diff(system.lam) <= 0)
+    want = information_sum(spec.sigma ** 2, dense.lam, n, spec.beta)
+    assert abs(sf.fisher_exact(spec) / want - 1.0) <= 1e-13
+    basis = system.basis
+    assert not basis.flags.writeable and basis is system.basis
+    assert np.abs(basis.T @ basis - np.eye(n)).max() <= 1e-13
+    # the basis diagonalises M = A^-t Cov(x) A^-1, from the dense solves
+    a = dense_factor(system)
+    m = solve_triangular(a, solve_triangular(a, cov_x, trans="T").T, trans="T").T
+    assert np.abs((basis * system.lam) @ basis.T - m).max() <= 1e-12 * system.lam[0]
+    rng = np.random.default_rng(n)
+    for z in (rng.standard_normal(n), rng.standard_normal((n, 11))):
+        expect = basis.T @ solve_triangular(a, z, trans="T")
+        got = system.transform(z)
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("gamma0", [0.0, -1.0])
+def test_degenerate_white_signal_meets_the_dense_verdict(gamma0):
+    # Cov(x) = 0 has lam = 0, as whiten() finds it; Cov(x) = -I is refused alike
+    spec = white_spec(16, 1, gamma0=gamma0)
+    cov_x, cov_y = spec.cov_x(), sf.diff_cov(16, 1, 1.0)
+    sf.whitened_system.cache_clear()
+    if gamma0 == 0.0:
+        assert np.array_equal(sf.whitened_system(spec).lam, sf.whiten(cov_x, cov_y).lam)
+        return
+    with pytest.raises(sf.NotPositiveDefiniteError, match="negative definite"):
+        sf.whiten(cov_x, cov_y)
+    with pytest.raises(sf.NotPositiveDefiniteError, match="negative definite"):
+        sf.whitened_system(spec)
 
 
 @pytest.mark.parametrize("spec, arrays", [(sf.fbm_wn_spec(1024, 0.3), 3.1),
-                                          (sf.integrated_fbm_spec(1024, 0.1), 4.1)],
-                         ids=["fbm-wn", "integrated-fbm"])
+                                          (sf.integrated_fbm_spec(1024, 0.1), 4.1),
+                                          (sf.fbm_wn_spec(1024, 0.5), 1.1)],
+                         ids=["fbm-wn", "integrated-fbm", "white-fbm-wn"])
 def test_whitening_peak_memory(spec, arrays):
     # counting Cov(x) and Cov(y), the closed-form route adds only M, which
     # it symmetrises, reduces and keeps the reflectors in; the Cholesky
-    # route holds both banded solves' outputs at once
+    # route holds both banded solves' outputs at once.  A white signal under
+    # unit noise builds Cov(y) alone, and holds O(n) numbers after it
     sf.whitened_system(sf.fbm_wn_spec(8, 0.3)).basis     # imports are not counted
+    sf.whitened_system(sf.fbm_wn_spec(8, 0.5)).transform(np.zeros(8))
     sf.whitened_system.cache_clear()
     tracemalloc.start()
     try:
@@ -357,33 +426,40 @@ def test_whiten_rejects_non_finite_noise():
 
 def test_cached_arrays_are_read_only():
     # the whitened system is shared through its cache, so a write through a
-    # returned array would silently change it; the uncached cosine basis is
+    # returned array would silently change it, on the dense route (H = 0.3)
+    # and the closed-form one (H = 0.5); the uncached cosine basis is
     # read-only too, so no caller mistakes it for scratch space
     with pytest.raises(ValueError):
         sf.dct_basis(8)[0, 0] = 1.0
-    system = sf.whitened_system(sf.fbm_wn_spec(16, 0.5))
-    with pytest.raises(ValueError):
-        system.lam[0] = 1.0
-    assert not system.basis.flags.writeable and not system.a_band.flags.writeable
+    for H in (0.3, 0.5):
+        system = sf.whitened_system(sf.fbm_wn_spec(16, H))
+        with pytest.raises(ValueError):
+            system.lam[0] = 1.0
+        assert not system.basis.flags.writeable and not system.a_band.flags.writeable
 
 
 # ---------------------------------------------------------------------------
 # BLAS-3 panels
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [31, 129, 257, 512])
-def test_panel_columns_are_position_independent(n):
+@pytest.mark.parametrize("n, H", [
+    *(pytest.param(n, 0.3, id=str(n)) for n in (31, 129, 257, 512)),
+    *(pytest.param(n, 0.5, id=f"white-{n}") for n in (1, 2, 3, 31, 129, 257, 512, 2048, 4096))])
+def test_panel_columns_are_position_independent(n, H):
     # sample_z and estimate make the panel calls of run_study with one live
     # column at position 0 and zeros beside it; run_study fills every
     # position.  Each product must give a column the same bits at any
     # position p < PANEL whatever its neighbours hold.  At width 16 this
     # fails on the SkylakeX kernels of OpenBLAS 0.3.30: columns 12-15 of trmm
-    # differ from column 0 at n = 31, 129 and 257, and of gemm at n = 257
+    # differ from column 0 at n = 31, 129 and 257, and of gemm at n = 257.
+    # A white signal (H = 0.5) is scaled, not multiplied by a factor, and
+    # whitened by FFTs over the panel's columns rather than gemm
     from scipy.linalg.blas import dtrmm
     width = sf.linalg.PANEL
-    spec = sf.fbm_wn_spec(n, 0.3)
+    spec = sf.fbm_wn_spec(n, H)
     factor = sf.montecarlo._signal_chol(spec)
     system = sf.whitened_system(spec)
+    assert isinstance(factor, float) is (H == 0.5)
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
 
@@ -393,9 +469,10 @@ def test_panel_columns_are_position_independent(n):
         return panel
 
     alone = column(0, np.zeros((n, width)))
-    trmm0 = dtrmm(1.0, factor, alone, lower=1)[:, 0]
+    trmm0 = None if H == 0.5 else dtrmm(1.0, factor, alone, lower=1)[:, 0]
     whiten0 = system._transform_each(alone)[:, 0]
     for p in range(width):
         panel = column(p, rng.standard_normal((n, width)))
-        assert np.array_equal(dtrmm(1.0, factor, panel, lower=1)[:, p], trmm0), p
+        if trmm0 is not None:
+            assert np.array_equal(dtrmm(1.0, factor, panel, lower=1)[:, p], trmm0), p
         assert np.array_equal(system._transform_each(panel)[:, p], whiten0), p

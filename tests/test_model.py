@@ -741,3 +741,33 @@ def test_spec_fields_reject_non_finite(make):
     # constant ell has no rho to take
     with pytest.raises(sf.DomainError):
         make()
+
+
+def test_is_critical_agrees_with_rational_arithmetic():
+    # K - alpha == 1/4 decided in integers on the binary value of alpha, as
+    # Fraction decides it; the grid holds the one critical point of the
+    # valid domain, (0, -1/4), its float neighbours, and the preset alphas
+    alphas = {float(a) for a in np.linspace(-0.49, 0.49, 99)}
+    alphas |= {0.5 - H for H in (0.25, 0.3, 0.5, 0.6, 0.75, 0.9)}
+    alphas |= {0.1 + 0.2 - 0.55, -0.25, 0.0}
+    a = -0.25
+    for _ in range(3):
+        a = float(np.nextafter(a, 0.0))
+        alphas.add(a)
+    a = -0.25
+    for _ in range(3):
+        a = float(np.nextafter(a, -1.0))
+        alphas.add(a)
+    critical = []
+    for K in range(4):
+        for alpha in sorted(alphas):
+            if not K > alpha:
+                continue
+            spec = sf.user_spec(16, 0.2, 1.0, 1.0, K, [1.0], alpha,
+                                sf.SlowlyVaryingSpec("constant", 0.0))
+            want = Fraction(K) - Fraction(alpha) == Fraction(1, 4)
+            assert spec.is_critical is want, (K, alpha)
+            critical += [(K, alpha)] if want else []
+            assert replace(spec, alpha=np.float64(alpha)).is_critical is want
+    assert critical == [(0, -0.25)]
+    assert sf.large_error_spec(1000, 0.75, 0.1).is_critical

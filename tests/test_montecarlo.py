@@ -242,6 +242,7 @@ def test_run_study_replicates_match_standalone_sampler():
 
 USER_K0 = sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
                        sf.SlowlyVaryingSpec("constant", 0.1))
+WHITE_K0 = sf.user_spec(96, 0.05, 1.1, 1.0, 0, [1.0], -0.25, sf.SlowlyVaryingSpec("constant", 0.0))
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -250,8 +251,10 @@ USER_K0 = sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
     lambda: sf.integrated_fbm_spec(129, 0.1),
     lambda: sf.integrated_fbm_spec(129, 0.1, tau=0.05),
     lambda: USER_K0,
+    lambda: sf.fbm_wn_spec(257, 0.5),
+    lambda: WHITE_K0,
 ], ids=["fbm-wn", "fbm-wn-deltaT_delta", "integrated-fbm", "integrated-fbm-low-noise",
-        "user-K0"])
+        "user-K0", "white-fbm-wn", "white-K0"])
 @pytest.mark.parametrize("workers", [1])
 def test_staged_study_equals_one_replicate_calls(make_spec, workers):
     # run_study works through panels of replicates stage by stage, in one
@@ -277,6 +280,26 @@ def test_staged_study_equals_one_replicate_calls(make_spec, workers):
     study = sf.run_study(spec, reps, seed, workers=workers)
     assert [e.to_dict() for e in study.estimates] == \
         [sf.estimate(z, spec).to_dict() for z in draws]
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_white_study_matches_dense_whitening(n):
+    # each estimate of a study whitened in closed form (the FFT data map of
+    # the cosine basis) against the same draw whitened densely by whiten()
+    spec = sf.fbm_wn_spec(n, 0.5)
+    reps, seed = 64, 29
+    sf.whitened_system.cache_clear()
+    study = sf.run_study(spec, reps, seed)
+    assert isinstance(sf.whitened_system(spec), sf.linalg._CosineSystem)
+    dense = sf.whiten(spec.cov_x(), sf.diff_cov(n, spec.K, spec.tau, spec.noise_convention))
+    w = information_weights(dense.lam, n, spec.beta)
+    split = sf.make_split(dense.lam, n, spec.beta)
+    assert split.k == study.estimates[0].split["split_size"]
+    z2 = dense.transform(np.column_stack([sf.sample_z(spec, seed, r) for r in range(reps)])) ** 2
+    want = [_estimate_from_squares(z2[:, r], w, split, dense, spec).sigma2_hat
+            for r in range(reps)]
+    assert min(want) > 0
+    np.testing.assert_allclose(study.values, want, rtol=1e-10, atol=0)
 
 
 def exact_law_study(spec, reps, seed):
