@@ -137,9 +137,20 @@ def _likelihood_root(z2: np.ndarray, w: np.ndarray, start: float) -> float:
         u = nxt
 
 
+def _checked_data(z, spec: ModelSpec) -> np.ndarray:
+    """z as a float vector; DomainError unless it is n finite numbers."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (spec.n,):
+        raise DomainError(f"data of shape {z.shape} does not match spec n = {spec.n}")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("data contains non-finite values")
+    return z
+
+
 def oracle_estimate(z: np.ndarray, spec: ModelSpec) -> float:
     """Oracle estimator using the true sigma^2 in the weights (testing
     baseline; unbiased with variance equal to the inverse information)."""
+    z = _checked_data(z, spec)
     system = whitened_system(spec)
     w = information_weights(system.lam, spec.n, spec.beta)
     return _weighted_sum(system.transform(z) ** 2, w, spec.sigma ** 2)
@@ -155,11 +166,7 @@ def estimate(z: np.ndarray, spec: ModelSpec) -> EstimateResult:
     preliminary value starts it when the two-stage value is not positive),
     returned as ``sigma2_hat``.  That root is 0 when the score is already
     non-positive at the boundary sigma^2 = 0 of the parameter space."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (spec.n,):
-        raise DomainError(f"data length {z.size} does not match spec n = {spec.n}")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("data contains non-finite values")
+    z = _checked_data(z, spec)
     system = whitened_system(spec)
     split = make_split(system.lam, spec.n, spec.beta)
     w = information_weights(system.lam, spec.n, spec.beta)

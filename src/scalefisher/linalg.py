@@ -79,8 +79,7 @@ def _scipy_wrappers(name: str) -> ModuleType:
     return module
 
 
-# rows per block of whitening's in-place passes (the symmetrisation and the
-# move of the reflectors), which bounds their temporaries
+# rows per tile of the in-place symmetrisation, which bounds its temporaries
 TILE = 64
 
 
@@ -180,17 +179,19 @@ def _sine_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,
+def _tridiagonal_eigenvectors(c: np.ndarray, tau: np.ndarray, d: np.ndarray,
                                e: np.ndarray) -> np.ndarray:
     """Eigenvectors, in descending eigenvalue order, of the symmetric matrix
-    that ``dsytrd(lower=1)`` reduced to the tridiagonal (d, e); ``refl`` is
-    the block of its output below the subdiagonal, ``c[1:, :n - 1]`` in
-    Fortran order, and ``tau`` the reflector scales.  Read-only, C-ordered.
+    that ``dsytrd(lower=1)`` reduced to the tridiagonal (d, e); ``c`` is the
+    Fortran-ordered array it returned, with the reflectors below the
+    subdiagonal, and ``tau`` their scales.  Read-only, C-ordered.
 
     The tridiagonal is solved by divide and conquer (LAPACK stevd, the
     method of dsyevd), and its vectors z are mapped back by Q = diag(1, Q'):
-    Q' z[1:] is an ormqr over ``refl``, which is what ormtr does for lower
-    storage.  At most three n x n arrays are alive at once."""
+    Q' z[1:] is an ormqr over the reflector block c[1:, :n - 1], which is
+    what ormtr does for lower storage.  scipy's ormqr takes no leading
+    dimension, so the block is copied out once z is gone, and dropped before
+    the basis is built: with c, at most three n x n arrays are alive."""
     lapack = _scipy_wrappers("_flapack")
     _, z, info = lapack.dstevd(d, e, compute_v=1)
     if info != 0:
@@ -198,8 +199,10 @@ def _tridiagonal_eigenvectors(refl: np.ndarray, tau: np.ndarray, d: np.ndarray,
     n = d.size
     z0, z1 = z[0, ::-1].copy(), np.asfortranarray(z[1:])
     del z
-    lwork = int(lapack.dormqr("L", "N", refl, tau, z1, -1)[1][0])
+    refl = np.asfortranarray(c[1:, :n - 1])
+    lwork = int(lapack.dormqr("L", "N", refl, tau, z1, -1, overwrite_c=1)[1][0])
     z1, _, info = lapack.dormqr("L", "N", refl, tau, z1, lwork, overwrite_c=1)
+    del refl
     if info != 0:
         raise LinAlgError(f"eigenvector back-transform failed (LAPACK info {info})")
     basis = np.empty((n, n))
@@ -233,7 +236,7 @@ class WhitenedSystem:
     ``_CosineSystem``, which holds no n x n array until ``basis`` is read."""
     a_band: np.ndarray
     lam: np.ndarray
-    _tridiagonal: tuple | None = field(repr=False)    # (refl, tau, d, e) from dsytrd
+    _tridiagonal: tuple | None = field(repr=False)    # (c, tau, d, e) from dsytrd
     _basis: np.ndarray | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -435,26 +438,12 @@ def _symmetrize(m: np.ndarray) -> None:
                 upper[...] = s.T
 
 
-def _reflector_block(c: np.ndarray) -> np.ndarray:
-    """The reflectors ``dsytrd(lower=1)`` left below the subdiagonal of the
-    Fortran-ordered c, c[1:, :n - 1], moved in place to the front of c's
-    buffer as the contiguous Fortran-ordered block ormqr reads.  Column j
-    moves j + 1 places down, so a group of TILE columns lands below where
-    the next group starts, and each group's copy needs a temporary of TILE
-    columns only."""
-    n = c.shape[0]
-    block = c.T.reshape(-1)[:(n - 1) ** 2].reshape(n - 1, n - 1)   # views of c
-    columns = c.T[:n - 1, 1:]
-    for lo in range(0, n - 1, TILE):
-        block[lo:lo + TILE] = columns[lo:lo + TILE]
-    return block.T
-
-
 def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
     """The system from the band of A and M = A^-t Cov(x) A^-1, which it
     symmetrises and overwrites.  M is reduced once to tridiagonal form
     (LAPACK sytrd, in place); its eigenvalues ``lam`` come from that form at
-    once (sterf), and the eigenvectors only if ``basis`` is read."""
+    once (sterf), and the eigenvectors only if ``basis`` is read, from
+    sytrd's output c as it is, the reflectors below its subdiagonal."""
     _symmetrize(m)
     n = m.shape[0]
     if n == 1:
@@ -475,9 +464,7 @@ def _reduce(a_band: np.ndarray, m: np.ndarray) -> WhitenedSystem:
         if info != 0:
             raise LinAlgError(f"eigenvalues did not converge (LAPACK info {info})")
         lam = lam[::-1].copy()
-        # keep only the reflectors, where ormqr reads them, so the first read
-        # of basis holds no second copy of the reduced matrix
-        tridiagonal, basis = (_reflector_block(c), tau, d, e), None
+        tridiagonal, basis = (c, tau, d, e), None
     a_band.flags.writeable = False
     return WhitenedSystem(a_band=a_band, lam=_checked_lam(lam), _tridiagonal=tridiagonal,
                           _basis=basis)

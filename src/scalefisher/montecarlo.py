@@ -5,10 +5,10 @@ factor L of Cov(x) = L L^t applied to the panel, and K running differences
 along each row of noise draws, which apply the exact integer factor F of
 the noise covariance tau^2 F F^t.  When Cov(x) is diagonal (a white
 signal), L is the scalar sqrt(gamma_0) and the panel is scaled; otherwise
-L is the Cholesky factor and the product is one BLAS triangular product
-(trmm).  A single draw is the one live column of its panel, so there is
-one code path, and a column's bits do not depend on its position or its
-neighbours.  Replicate streams are counter-based (Philox keyed by (seed,
+L is the Cholesky factor, computed in Cov(x)'s own buffer, and the product
+is one BLAS triangular product (trmm).  A single draw is the one live column
+of its panel, so there is one code path, and a column's bits do not depend
+on its position or its neighbours.  Replicate streams are counter-based (Philox keyed by (seed,
 replicate)), so a replicate's draw is bit-identical whether generated alone
 or in a different batch.  Studies run replicates panel by panel in one
 thread, one stage at a time across the panel, so each n x n array (the
@@ -46,16 +46,18 @@ def _signal_chol(spec: ModelSpec) -> float | np.ndarray:
     per spec.  For a white signal, Cov(x) = gamma_0 I (``_white_variance``),
     L is the scalar sqrt(gamma_0), with no n x n array (``dtrmm`` with
     sqrt(gamma_0) I has the same bits).  Otherwise L is the lower Cholesky
-    factor, Fortran-ordered (as potrf returns it) so that ``dtrmm`` reads it
-    in place.  Read-only, because the factor is shared through the cache,
-    which keeps only the last spec's: callers sample one spec at a time."""
+    factor, computed by potrf in the fresh Cov(x)'s own buffer (Cov(x) is
+    exactly symmetric, so its transpose is the same matrix in Fortran
+    order), which ``dtrmm`` then reads in place.  Read-only, because the
+    factor is shared through the cache, which keeps only the last spec's:
+    callers sample one spec at a time."""
     gamma0 = _white_variance(spec)
     if gamma0 is not None:
         if not gamma0 > 0:
             raise NotPositiveDefiniteError("signal covariance is not positive definite")
         return float(np.sqrt(gamma0))
-    factor, info = _scipy_wrappers("_flapack").dpotrf(np.asarray_chkfinite(spec.cov_x()),
-                                                      lower=1, clean=1)
+    cov_x = np.asarray_chkfinite(spec.cov_x())
+    factor, info = _scipy_wrappers("_flapack").dpotrf(cov_x.T, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError("signal covariance is not positive definite")
     factor.flags.writeable = False
@@ -85,11 +87,12 @@ def sample_z(spec: ModelSpec, seed: int, rep_index: int = 0) -> np.ndarray:
     as K running differences in O(K n).  The draw is the one live column of
     a ``_sample_each`` panel.  DomainError, before any work, unless ``seed``
     is an integer (negative seeds are taken modulo 2^64) and ``rep_index``
-    lies in [0, 2^64).
+    an integer in [0, 2^64).
     """
     seed = _check_seed(seed)
-    if not 0 <= rep_index < 2 ** 64:
-        raise DomainError(f"rep_index must lie in [0, 2^64), got {rep_index}")
+    if not (is_integer(rep_index) and 0 <= rep_index < 2 ** 64):
+        raise DomainError(f"rep_index must be an integer in [0, 2^64), got {rep_index!r}")
+    rep_index = int(rep_index)
     return _sample_each(spec, seed, range(rep_index, rep_index + 1))[:, 0].copy()
 
 

@@ -15,6 +15,7 @@ from scipy.special import gamma as gamma_fn
 import scalefisher as sf
 from scalefisher._quad import panel_integrate
 from scalefisher.fisher import (
+    INTEGRAL_RTOL,
     METHODS,
     _phase_prefactor,
     _ratio_sq,
@@ -34,6 +35,30 @@ def flat_spec(n, beta=0.5, sigma=1.0, tau=1.0):
 def white_fisher(n, beta, sigma, tau):
     w = float(n) ** (-2.0 * beta) / tau ** 2
     return 0.5 * n * w ** 2 / (sigma ** 2 * w + 1.0) ** 2
+
+
+def brownian_white_fisher(spec):
+    """The exact Fisher information of Brownian motion under white noise,
+    fbm-wn at H = 1/2, in closed form at any n, with no lam array.
+
+    There lam_j = gamma_0 / (tau^2 s_j), s_j = 2 - 2 cos u_j, so
+    I = (b^2 / 2) sum_j (x - cos u_j)^-2 with b = gamma_0 n^(-2 beta) / (2 tau^2)
+    and x = 1 + sigma^2 b.  The cos u_j are the zeros of the Chebyshev
+    polynomial of the third kind, V_n(cos th) = cos((n + 1/2) th) / cos(th / 2),
+    so with x = cosh t and L(t) = log V_n(cosh t) the sum is -(log V_n)''(x)
+    = (L' cosh t - L'' sinh t) / sinh^3 t.  It is taken times t^3, and b^2
+    as (e / t^2)^2 t^4 with e = x - 1 = sigma^2 b: t is about sqrt(2 e), so
+    nothing under- or overflows up to n = 1e300.  t = acosh(1 + e) comes
+    from e without forming x, and sech^2 through exp(-a), which underflows
+    to 0 where cosh would overflow."""
+    sigma, m = spec.sigma, spec.n + 0.5
+    e = sigma ** 2 * spec.gamma(0) * float(spec.n) ** (-2.0 * spec.beta) / (2.0 * spec.tau ** 2)
+    t = math.log1p(e + math.sqrt(e * (2.0 + e)))
+    q = math.exp(-2.0 * m * t)
+    dl = m * (1.0 - q) / (1.0 + q) - 0.5 * math.tanh(t / 2.0)
+    d2l = (2.0 * m * math.exp(-m * t) / (1.0 + q)) ** 2 - 0.25 / math.cosh(t / 2.0) ** 2
+    sum_t3 = (dl * math.cosh(t) - d2l * math.sinh(t)) * (t / math.sinh(t)) ** 3
+    return 0.5 * (e / (sigma * t) ** 2) ** 2 * t * sum_t3
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +134,26 @@ def test_exact_monotonicity():
     # increasing tau decreases it
     hi_tau = sf.fbm_wn_spec(64, 0.6, tau=1.2)
     assert sf.fisher_exact(hi_tau) < sf.fisher_exact(spec)
+
+
+@pytest.mark.parametrize("n, sigma", [
+    *((n, sigma) for n in (1, 2, 3, 64, 257, 2048) for sigma in (0.3, 1.0, 2.0)),
+    (8192, 1.0)])
+def test_exact_meets_brownian_white_closed_form(n, sigma):
+    # the exact route sums n eigenvalues; the closed form is O(1) work
+    spec = sf.fbm_wn_spec(n, 0.5, sigma=sigma)
+    assert abs(sf.fisher_exact(spec) / brownian_white_fisher(spec) - 1.0) <= 4e-15
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8, 10 ** 20, 10 ** 100, 10 ** 300])
+def test_integral_meets_brownian_white_closed_form(n):
+    # the spectral integral misses the exact value by I / (2n); the gap is
+    # resolved where it is above the integral's rounding, up to n = 1e8
+    spec = sf.fbm_wn_spec(n, 0.5)
+    exact, integral = brownian_white_fisher(spec), sf.fisher_integral(spec)
+    assert integral == pytest.approx(exact * (1.0 - 0.5 / n), rel=INTEGRAL_RTOL)
+    if n <= 10 ** 8:
+        assert abs((exact - integral) / (exact / (2 * n)) - 1.0) <= 1e-3
 
 
 def test_benchmark_h_half_desk_scale():

@@ -380,6 +380,25 @@ def test_whitening_peak_memory(spec, arrays):
     assert peak <= arrays * 8 * spec.n ** 2
 
 
+@pytest.mark.parametrize("spec", [sf.fbm_wn_spec(1024, 0.3), sf.integrated_fbm_spec(1024, 0.1)],
+                         ids=["fbm-wn", "integrated-fbm"])
+def test_first_basis_read_peak_memory(spec):
+    # beside the reduced matrix that the system keeps until then, the first
+    # read holds two n x n arrays at each step: the tridiagonal's
+    # eigenvectors z and the copy of z[1:]; with z gone, that copy and the
+    # copied reflector block; then the copy and the basis
+    sf.whitened_system(sf.fbm_wn_spec(8, 0.3)).basis     # imports are not counted
+    sf.whitened_system.cache_clear()
+    system = sf.whitened_system(spec)
+    tracemalloc.start()
+    try:
+        system.basis
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * spec.n ** 2
+
+
 @pytest.mark.parametrize("spec", [sf.fbm_wn_spec(257, 0.3), sf.integrated_fbm_spec(64, 0.1)],
                          ids=["fbm-wn", "integrated-fbm"])
 def test_whiten_lam_does_not_depend_on_read_order(spec):

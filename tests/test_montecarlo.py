@@ -1,6 +1,7 @@
 """Sampling layer: exact covariance reproduction, counter-based replicate
 streams, and study aggregation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,43 @@ def test_white_sampler_builds_no_dense_factor(monkeypatch):
     assert sorted(calls) == ["cov_x", "dpotrf", "dtrmm", "dtrmm"]
 
 
+@pytest.mark.parametrize("make_spec", [
+    *(lambda n=n: sf.fbm_wn_spec(n, 0.3) for n in (1, 2, 64, 257)),
+    lambda: sf.integrated_fbm_spec(64, 0.1),
+    lambda: sf.user_spec(96, 0.2, 1.1, 0.9, 0, [1.0, 0.3], -0.25,
+                         sf.SlowlyVaryingSpec("constant", 0.1)),
+], ids=["fbm-wn-1", "fbm-wn-2", "fbm-wn-64", "fbm-wn-257", "integrated-fbm", "user-K0"])
+def test_signal_factor_has_the_bits_of_potrf_on_a_copy(make_spec):
+    # potrf factorises the fresh Cov(x) in its own buffer, through its
+    # transpose: Cov(x) is exactly symmetric, so the factor must keep the
+    # bits of potrf on a separate copy.  At n = 1 the fbm-wn signal is
+    # white, and its scalar is that potrf's one entry
+    from scipy.linalg.lapack import dpotrf
+    spec = make_spec()
+    cov_x = spec.cov_x()
+    assert np.array_equal(cov_x, cov_x.T)
+    expect, info = dpotrf(cov_x.copy(), lower=1, clean=1)
+    assert info == 0
+    sf.montecarlo._signal_chol.cache_clear()
+    factor = sf.montecarlo._signal_chol(spec)
+    assert np.array_equal(np.reshape(factor, expect.shape), expect)
+
+
+def test_signal_factor_peak_memory():
+    # potrf overwrites Cov(x), so the peak is about one n x n array (1.13
+    # at n = 1024, with the autocovariances Cov(x) is built from), not two
+    spec = sf.fbm_wn_spec(1024, 0.3)
+    sf.montecarlo._signal_chol(sf.fbm_wn_spec(8, 0.3))     # imports are not counted
+    sf.montecarlo._signal_chol.cache_clear()
+    tracemalloc.start()
+    try:
+        sf.montecarlo._signal_chol(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * spec.n ** 2
+
+
 @pytest.mark.parametrize("gamma0", [0.0, -1.0])
 def test_white_signal_needs_positive_variance(gamma0):
     # Cov(x) = gamma_0 I with gamma_0 <= 0 has no factor, as dpotrf says of it
@@ -197,12 +235,13 @@ def test_counter_based_streams():
 
 
 def test_sample_z_rejects_negative_rep_index():
-    # the Philox key is unsigned: numpy raised a bare OverflowError
+    # the Philox key is unsigned: numpy raised a bare OverflowError; a float
+    # raised a bare TypeError from range, and True was taken as replicate 1
     spec = sf.fbm_wn_spec(64, 0.5)
-    with pytest.raises(sf.DomainError, match="rep_index"):
-        sf.sample_z(spec, 3, -1)
-    with pytest.raises(sf.DomainError, match="rep_index"):
-        sf.sample_z(spec, 3, 2 ** 64)
+    for rep_index in (-1, 2 ** 64, 1.5, True):
+        with pytest.raises(sf.DomainError, match="rep_index"):
+            sf.sample_z(spec, 3, rep_index)
+    assert np.array_equal(sf.sample_z(spec, 3, np.uint64(2)), sf.sample_z(spec, 3, 2))
 
 
 def test_seed_is_an_integer_of_any_kind(monkeypatch):
